@@ -25,10 +25,12 @@ from .tensornet import (
     Tensor,
     TensorNetwork,
     amplitude,
+    build_network,
     choose_slices,
     circuit_to_network,
     contract,
     contract_pair,
+    distribution_from_plan,
     find_path,
     reconstruct_distribution,
     tn_memory_bytes,
@@ -63,12 +65,14 @@ __all__ = [
     "ContractionPlan",
     "PathfinderConfig",
     "circuit_to_network",
+    "build_network",
     "contract_pair",
     "find_path",
     "contract",
     "choose_slices",
     "amplitude",
     "reconstruct_distribution",
+    "distribution_from_plan",
     "tn_memory_bytes",
     "bitstring_to_index",
     "index_to_bitstring",

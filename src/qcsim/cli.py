@@ -200,7 +200,7 @@ def _simulate_one(circuit, backend, args):
                    "amplitude_re": result.real, "amplitude_im": result.imag}
     payload["backend"] = backend
     payload["timing"] = harness.summarize_times(
-        [r.contract_or_run_time_s for r in records])
+        [r.total_time_s for r in records])
     return payload, records
 
 

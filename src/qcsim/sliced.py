@@ -44,10 +44,8 @@ from .tensornet import (
     ContractionPlan,
     PathfinderConfig,
     TensorNetwork,
-    absorb_small_tensors,
+    build_network,
     choose_slices,
-    circuit_to_network,
-    contract_one_slice,
     slice_assignments,
 )
 
@@ -131,7 +129,7 @@ def _contract_shard(args) -> complex:
     net, plan, assignments = args
     partial = 0.0 + 0.0j
     for assignment in assignments:
-        t = contract_one_slice(net, plan, assignment)
+        t = tn._contract_assignment(net, plan, assignment)
         partial += complex(t.data.reshape(()))
     return partial
 
@@ -147,7 +145,6 @@ def run_sliced(
     cfg: PathfinderConfig | None = None,
     pool: WorkerPoolConfig | None = None,
     slices: int = 1,
-    preabsorb: bool = True,
     executor: ProcessPoolExecutor | None = None,
 ) -> ScalingRun:
     """Contract the closed network of ``c``/``bitstring`` in ``slices``
@@ -164,9 +161,7 @@ def run_sliced(
     if slices < pool.workers:
         raise ConfigError(f"slices ({slices}) must be >= workers ({pool.workers})")
 
-    net = circuit_to_network(c, bitstring)
-    if preabsorb:
-        net = absorb_small_tensors(net, max_rank=1)
+    net = build_network(c, bitstring)
 
     own_executor = executor is None
     executor = executor if executor is not None else make_worker_pool(pool.workers)

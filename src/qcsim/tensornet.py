@@ -7,6 +7,14 @@ each qubit is an open index unless a target bitstring closes it with the
 conjugate basis vector, in which case full contraction yields that
 bitstring's probability amplitude.
 
+Every entry point runs the same pipeline: ``build_network`` (conversion
+plus absorption of the rank-1 tensors), ``find_path``, then contraction.
+An amplitude contracts the closed network to a scalar.  The full output
+distribution contracts the open network once to the n-qubit output state
+and squares it; before it allocates, the plan's estimated peak is checked
+against the state-vector budget (``QCSIM_MAX_QUBITS``), and a plan over it
+raises ``CapacityError``.
+
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
 keeps the plan with the lowest estimated FLOP count.  The cost of a pairwise
 step is the product of the dimensions of the union of both tensors' indices
@@ -23,9 +31,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Circuit, bitstring_to_index, index_to_bitstring
+from .circuit import Circuit
 from .errors import CapacityError, ConfigError, StructuralError, UnsupportedOpError
-from .statevector import OutputDistribution
+from .statevector import _ENV_MAX_QUBITS, OutputDistribution, _resolve_max_qubits
 
 _BASIS = (np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128))
 
@@ -403,12 +411,6 @@ def slice_assignments(plan: ContractionPlan):
         yield dict(zip(labels, bits))
 
 
-def contract_one_slice(
-    net: TensorNetwork, plan: ContractionPlan, assignment: dict[str, int]
-) -> Tensor:
-    return _contract_assignment(net, plan, assignment)
-
-
 def contract_sliced(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
     """Sum of all slice contractions; equals the unsliced result."""
     total = None
@@ -463,64 +465,69 @@ def choose_slices(
 DEFAULT_ENUMERATION_GUARD = 20
 
 
-def _closed_network(
-    c: Circuit, bitstring: str, preabsorb: bool
-) -> tuple[TensorNetwork, list[int]]:
-    """Closed network plus the positions of the closure tensors."""
-    net = circuit_to_network(c, bitstring)
-    n = c.num_qubits
-    closures = list(range(len(net.tensors) - n, len(net.tensors)))
-    if preabsorb:
-        keep = frozenset(closures)
-        net = absorb_small_tensors(net, max_rank=1, keep=keep)
-        closures = list(range(len(net.tensors) - n, len(net.tensors)))
-    return net, closures
+def build_network(c: Circuit, bitstring: str | None = None) -> TensorNetwork:
+    """The network every entry point plans on: ``circuit_to_network`` with
+    its rank-1 tensors absorbed into a neighbour each.
+
+    Without ``bitstring`` the network stays open on each qubit's final wire;
+    an idle qubit keeps its input vector as a rank-1 open tensor.
+    """
+    return absorb_small_tensors(circuit_to_network(c, bitstring), max_rank=1)
 
 
 def amplitude(
     c: Circuit,
     bitstring: str,
     cfg: PathfinderConfig | None = None,
-    preabsorb: bool = True,
 ) -> complex:
     """Probability amplitude of ``bitstring`` via network contraction."""
-    cfg = cfg or PathfinderConfig()
-    net = circuit_to_network(c, bitstring)
-    if preabsorb:
-        net = absorb_small_tensors(net, max_rank=1)
-    plan = find_path(net, cfg)
+    net = build_network(c, bitstring)
+    plan = find_path(net, cfg or PathfinderConfig())
+    return complex(contract(net, plan).data.reshape(()))
+
+
+def distribution_from_plan(net: TensorNetwork, plan: ContractionPlan) -> OutputDistribution:
+    """Contract the open network ``net`` once and square the output state.
+
+    Qubit ``q``'s open index is ``net.open_indices[q]``; the output axes are
+    put in reverse qubit order so that qubit 0 is the least-significant bit
+    of the flat index, as in ``bitstring_to_index``.  A plan whose estimated
+    peak exceeds the state-vector budget of ``2^QCSIM_MAX_QUBITS`` elements
+    raises ``CapacityError`` before anything is contracted.
+    """
+    limit = _resolve_max_qubits(None)
+    if plan.est_peak_elements > 1 << limit:
+        required = plan.est_peak_elements * 16
+        raise CapacityError(
+            f"open contraction peaks at {plan.est_peak_elements} elements "
+            f"({required} bytes), over the 2^{limit}-element budget; "
+            f"set {_ENV_MAX_QUBITS} to override",
+            required_bytes=required,
+        )
     result = contract(net, plan)
-    return complex(result.data.reshape(()))
+    axes = [result.indices.index(label) for label in reversed(net.open_indices)]
+    amps = np.transpose(result.data, axes).ravel()
+    return OutputDistribution(len(net.open_indices), np.abs(amps) ** 2)
 
 
 def reconstruct_distribution(
     c: Circuit,
     cfg: PathfinderConfig | None = None,
-    preabsorb: bool = True,
     max_enumeration: int = DEFAULT_ENUMERATION_GUARD,
 ) -> OutputDistribution:
-    """Close and contract the open indices over every bitstring.
+    """Full output distribution from one contraction of the open network.
 
-    One plan is found on the first closure and reused: the network structure
-    is bitstring-independent, only the closure vectors change.
+    Circuits wider than ``max_enumeration`` qubits are refused up front;
+    otherwise ``distribution_from_plan`` checks the plan's peak against the
+    state-vector budget before contracting.
     """
     n = c.num_qubits
     if n > max_enumeration:
         required = (1 << n) * 16
         raise CapacityError(
-            f"enumerating 2^{n} bitstrings needs {required} bytes of output; "
+            f"the 2^{n}-amplitude output state needs {required} bytes; "
             f"raise max_enumeration to allow it",
             required_bytes=required,
         )
-    cfg = cfg or PathfinderConfig()
-    net, closures = _closed_network(c, "0" * n, preabsorb)
-    plan = find_path(net, cfg)
-    probs = np.zeros(1 << n, dtype=float)
-    for idx in range(1 << n):
-        bits = index_to_bitstring(idx, n)
-        for q, pos in enumerate(closures):
-            old = net.tensors[pos]
-            net.tensors[pos] = Tensor(old.indices, _BASIS[int(bits[q])].conj())
-        amp = complex(contract(net, plan).data.reshape(()))
-        probs[idx] = abs(amp) ** 2
-    return OutputDistribution(n, probs)
+    net = build_network(c)
+    return distribution_from_plan(net, find_path(net, cfg or PathfinderConfig()))

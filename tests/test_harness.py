@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from qcsim import harness
+from qcsim.circuit import Circuit
 from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.sliced import strong_scaling_experiment
-from qcsim.tensornet import PathfinderConfig
+from qcsim.tensornet import PathfinderConfig, build_network, find_path, tn_memory_bytes
 
 CFG = PathfinderConfig(num_samples=2, seed=0)
 
@@ -26,16 +27,39 @@ def test_bench_simulate_sv_records():
 
 
 def test_bench_simulate_tn_records():
+    # Pathfinding is timed once, outside the contraction, and the plan
+    # figures come from the network that runs, computed in double.
     c = generate(GeneratorSpec(Family.VQE, 5))
-    dist, records = harness.bench_simulate(c, "tn", cfg=CFG, warmup=1, reps=2)
+    dist, records = harness.bench_simulate(
+        c, "tn", precision="single", cfg=CFG, warmup=1, reps=2
+    )
+    net = build_network(c)
+    plan = find_path(net, CFG)
     for r in records:
         assert r.backend == "tn"
         assert r.pathfind_samples == 2
-        assert r.total_time_s == pytest.approx(
-            r.pathfind_time_s + r.contract_or_run_time_s
-        )
-        assert r.peak_intermediate_elements >= 1
+        assert r.total_time_s == r.pathfind_time_s + r.contract_or_run_time_s
+        assert r.precision == "double"
+        assert r.peak_intermediate_elements == plan.est_peak_elements
+        assert r.mem_bytes_est == tn_memory_bytes(net, "double")
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_bench_simulate_tn_amplitude_past_enumeration_guard():
+    c = Circuit(21).h(0).cnot(0, 1)
+    amp, records = harness.bench_simulate(c, "tn", cfg=CFG, warmup=0, reps=1)
+    assert amp == pytest.approx(2 ** -0.5, abs=1e-12)
+    r = records[0]
+    assert r.total_time_s == r.pathfind_time_s + r.contract_or_run_time_s
+
+
+def test_timed_batches_fast_calls():
+    calls = []
+    times, result = harness.timed(lambda: calls.append(1) or len(calls), 0, 3,
+                                  min_batch_time=0.01)
+    assert len(times) == 3
+    assert len(calls) > 4  # one probe call, then batches of more than one
+    assert result == len(calls)
 
 
 def test_bench_csv_round_trip():

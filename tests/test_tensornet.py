@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qcsim import tensornet
 from qcsim.circuit import Circuit, index_to_bitstring
 from qcsim.errors import CapacityError, ConfigError, StructuralError, UnsupportedOpError
 from qcsim.generators import Family, GeneratorSpec, generate
@@ -13,11 +15,13 @@ from qcsim.tensornet import (
     Tensor,
     absorb_small_tensors,
     amplitude,
+    build_network,
     choose_slices,
     circuit_to_network,
     contract,
     contract_pair,
     contract_sliced,
+    distribution_from_plan,
     find_path,
     reconstruct_distribution,
     replay_cost,
@@ -250,12 +254,17 @@ def test_reconstruct_bell_distribution(bell):
     assert d.as_dict(1e-9) == pytest.approx({"00": 0.5, "11": 0.5})
 
 
+def _assert_matches_statevector(c, cfg=None):
+    tn_d = reconstruct_distribution(c, cfg)
+    sv_d = distribution(run(c))
+    assert tn_d.num_qubits == c.num_qubits
+    np.testing.assert_allclose(tn_d.probs, sv_d.probs, atol=1e-10)
+
+
 def test_reconstruct_matches_statevector():
-    for family in (Family.QAOA, Family.VQE, Family.HIDDEN_SHIFT):
+    for family in Family:
         c = generate(GeneratorSpec(family, 6, seed=8))
-        tn_d = reconstruct_distribution(c, PathfinderConfig(num_samples=2, seed=1))
-        sv_d = distribution(run(c))
-        np.testing.assert_allclose(tn_d.probs, sv_d.probs, atol=1e-6)
+        _assert_matches_statevector(c, PathfinderConfig(num_samples=2, seed=1))
 
 
 def test_reconstruct_normalized():
@@ -267,6 +276,69 @@ def test_reconstruct_normalized():
 def test_reconstruct_guard():
     with pytest.raises(CapacityError):
         reconstruct_distribution(Circuit(21), max_enumeration=20)
+
+
+def test_reconstruct_idle_wire():
+    _assert_matches_statevector(Circuit(3).h(0).cnot(0, 1))
+
+
+def test_reconstruct_no_gates():
+    d = reconstruct_distribution(Circuit(3))
+    assert d.as_dict() == {"000": 1.0}
+    _assert_matches_statevector(Circuit(3))
+
+
+_ONE_QUBIT = [("h", 0), ("x", 0), ("y", 0), ("rx", 1), ("ry", 1), ("rz", 1)]
+_TWO_QUBIT = [("cnot", 0), ("cz", 0), ("swap", 0), ("rzz", 1), ("cp", 1)]
+
+
+@st.composite
+def _circuits_with_an_idle_qubit(draw):
+    n = draw(st.integers(2, 5))
+    idle = draw(st.integers(0, n - 1))
+    busy = [q for q in range(n) if q != idle]
+    c = Circuit(n)
+    for _ in range(draw(st.integers(0, 12))):
+        gates = _ONE_QUBIT + (_TWO_QUBIT if len(busy) > 1 else [])
+        name, takes_angle = draw(st.sampled_from(gates))
+        arity = 2 if (name, takes_angle) in _TWO_QUBIT else 1
+        qubits = draw(st.permutations(busy))[:arity]
+        angle = (draw(st.floats(-math.pi, math.pi)),) if takes_angle else ()
+        getattr(c, name)(*qubits, *angle)
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(_circuits_with_an_idle_qubit())
+def test_reconstruct_matches_statevector_with_idle_qubits(c):
+    _assert_matches_statevector(c, PathfinderConfig(num_samples=2, seed=0))
+
+
+def test_distribution_from_plan_refuses_peak_over_budget(monkeypatch):
+    # qft-6's open plan peaks above its 2^6 output; a 7-qubit budget
+    # admits the output but not the plan.
+    c = generate(GeneratorSpec(Family.QFT, 6))
+    net = build_network(c)
+    plan = find_path(net, PathfinderConfig())
+    assert plan.est_peak_elements > 1 << 7
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "7")
+
+    def no_contraction(*args):
+        raise AssertionError("contracted an over-budget plan")
+
+    monkeypatch.setattr(tensornet, "contract", no_contraction)
+    with pytest.raises(CapacityError) as info:
+        distribution_from_plan(net, plan)
+    assert info.value.required_bytes == plan.est_peak_elements * 16
+    with pytest.raises(CapacityError):
+        reconstruct_distribution(c)
+
+
+def test_distribution_within_budget(monkeypatch):
+    # bv-6's open plan peaks at exactly its 2^6 output: on the budget, not over.
+    c = generate(GeneratorSpec(Family.BERNSTEIN_VAZIRANI, 6))
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "6")
+    _assert_matches_statevector(c)
 
 
 # -- slicing ----------------------------------------------------------------
