@@ -53,7 +53,6 @@ from .tensornet import (
 @dataclass(frozen=True)
 class WorkerPoolConfig:
     workers: int = 1
-    pin: bool = False  # reserved
     reduce_order: str = "deterministic"  # or "arrival"
 
     def __post_init__(self):

@@ -1,10 +1,13 @@
 """Dense state-vector simulation backend.
 
 Amplitudes live in a flat array of length ``2^n`` indexed little endian
-(qubit 0 = least-significant bit).  Gate application reshapes the array to
-an n-axis tensor and multiplies only the amplitude groups selected by the
-target qubits — pairs for 1-qubit gates, (00,01,10,11)-ordered quadruples
-for 2-qubit gates — never expanding the gate to a ``2^n x 2^n`` matrix.
+(qubit 0 = least-significant bit).  A gate updates that array in place: it
+views the amplitudes as strided blocks, one block per basis value of the
+target qubits (two for a 1-qubit gate, four for a 2-qubit gate), and writes
+each output block as a combination of the input blocks.  Zero matrix
+entries are skipped, so a diagonal gate (Z, RZ, CZ, CP, RZZ) only scales
+blocks and a permutation with phases (X, Y, CNOT, SWAP) only moves them.
+The gate is never expanded to a ``2^n x 2^n`` matrix.
 """
 from __future__ import annotations
 
@@ -73,27 +76,64 @@ def init_zero(
     return StateVector(n, amps)
 
 
+def _blocks(amps: np.ndarray, qubits: tuple[int, ...]) -> list[np.ndarray]:
+    """Views of ``amps``, block ``k`` holding the amplitudes whose target
+    bits read ``k`` in the matrix order of ``gates.py``.  The reshapes
+    refuse to copy, so writes to a block always land in ``amps``."""
+    if len(qubits) == 1:
+        view = np.reshape(amps, (-1, 2, 1 << qubits[0]), copy=False)
+        return [view[:, 0, :], view[:, 1, :]]
+    lo, hi = sorted(qubits)
+    view = np.reshape(amps, (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo), copy=False)
+    if qubits[0] == hi:
+        return [view[:, k >> 1, :, k & 1, :] for k in range(4)]
+    return [view[:, k & 1, :, k >> 1, :] for k in range(4)]
+
+
 def apply_gate(sv: StateVector, op: GateOp) -> StateVector:
-    """Apply one gate in place and return the (updated) state vector."""
+    """Apply one gate in place and return the same state vector.
+
+    Output block ``i`` is ``sum_j U[i, j] * block_j``, written into
+    ``sv.amps`` in block order.  A term that reads a block an earlier row
+    overwrites is computed before that row runs; the other terms read the
+    blocks directly, the diagonal one in place and the rest through one
+    scratch block.  Zero entries cost nothing and unit diagonal entries no
+    pass, so a diagonal gate allocates nothing, a permutation copies only
+    the blocks it moves and a dense 1-qubit gate allocates one state.
+    """
     if op.is_measure:
         raise UnsupportedOpError("measurement is handled by sampling, not apply_gate")
     n = sv.num_qubits
     for q in op.qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} outside register of width {n}")
-    matrix = op.matrix().astype(sv.amps.dtype)
-    psi = sv.amps.reshape([2] * n)
-    if len(op.qubits) == 1:
-        axis = n - 1 - op.qubits[0]
-        psi = np.tensordot(matrix, psi, axes=([1], [axis]))
-        psi = np.moveaxis(psi, 0, axis)
-    else:
-        ax_a = n - 1 - op.qubits[0]
-        ax_b = n - 1 - op.qubits[1]
-        tensor = matrix.reshape(2, 2, 2, 2)  # (out_a, out_b, in_a, in_b)
-        psi = np.tensordot(tensor, psi, axes=([2, 3], [ax_a, ax_b]))
-        psi = np.moveaxis(psi, (0, 1), (ax_a, ax_b))
-    sv.amps = np.ascontiguousarray(psi).reshape(-1)
+    # Python scalars take the state's dtype in numpy arithmetic.
+    u = op.matrix().tolist()
+    blocks = _blocks(sv.amps, op.qubits)
+    k = len(blocks)
+    # Row i overwrites block i, so the terms of later rows that read it
+    # are computed up front.
+    early = {(i, j): blocks[j] * u[i][j] for i in range(k) for j in range(i) if u[i][j]}
+    scratch = None
+    for i, out in enumerate(blocks):
+        ready = [early.pop((i, j)) for j in range(i) if u[i][j]]
+        later = [j for j in range(i + 1, k) if u[i][j]]
+        if not u[i][i]:
+            # The first term overwrites the block, which no row still reads.
+            if ready:
+                np.copyto(out, ready.pop())
+            else:
+                j = later.pop(0)
+                np.multiply(blocks[j], u[i][j], out=out)
+        elif u[i][i] != 1:
+            out *= u[i][i]
+        for term in ready:
+            out += term
+        for j in later:
+            if scratch is None:
+                scratch = np.empty_like(out)
+            np.multiply(blocks[j], u[i][j], out=scratch)
+            out += scratch
     return sv
 
 
@@ -149,7 +189,7 @@ class OutputDistribution:
 
 
 def distribution(sv: StateVector) -> OutputDistribution:
-    probs = np.abs(sv.amps.astype(np.complex128)) ** 2
+    probs = np.abs(sv.amps.astype(np.complex128, copy=False)) ** 2
     return OutputDistribution(sv.num_qubits, probs)
 
 

@@ -1,15 +1,20 @@
 """Shared test oracles.
 
 The dense oracle evolves states by explicit basis-index arithmetic (bit
-extraction and scatter), a different algorithm from the backend's reshaped
-tensor contractions, so the two can check each other.
+extraction and scatter), a different algorithm from the SV backend's
+strided block updates and the TN backend's contractions, so they can check
+each other.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qcsim.circuit import Circuit
+from qcsim.gates import GateKind
 
 
 def dense_apply(state: np.ndarray, op, n: int) -> np.ndarray:
@@ -45,6 +50,19 @@ def dense_run(c: Circuit) -> np.ndarray:
     for op in c.unitary_ops:
         state = dense_apply(state, op, c.num_qubits)
     return state
+
+
+def draw_gates(draw, c: Circuit, qubits, max_gates: int) -> Circuit:
+    """Append up to ``max_gates`` random unitary gates on ``qubits`` to ``c``
+    (inside a Hypothesis ``@st.composite`` strategy)."""
+    qubits = list(qubits)
+    kinds = [k for k in GateKind if k is not GateKind.MEASURE and k.arity <= len(qubits)]
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        targets = draw(st.permutations(qubits))[: kind.arity]
+        angle = draw(st.floats(-math.pi, math.pi)) if kind.is_parameterized else None
+        c.add(kind, *targets, angle=angle)
+    return c
 
 
 def brute_force_contract(net) -> np.ndarray:

@@ -1,7 +1,10 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcsim.circuit import Circuit, GateOp, bitstring_to_index
 from qcsim.errors import CapacityError, UnsupportedOpError
@@ -16,7 +19,7 @@ from qcsim.statevector import (
     sv_memory_bytes,
 )
 
-from conftest import dense_run
+from conftest import dense_apply, dense_run, draw_gates
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -170,3 +173,79 @@ def test_marginal_distribution():
     assert m.as_dict(1e-12) == pytest.approx({"10": 1.0})
     m2 = d.marginal([2])
     assert m2.as_dict(1e-12) == pytest.approx({"0": 0.5, "1": 0.5})
+
+
+# -- apply_gate kernel ------------------------------------------------------
+
+_UNITARY_KINDS = [k for k in GateKind if k is not GateKind.MEASURE]
+_DIAGONAL_KINDS = {GateKind.Z, GateKind.RZ, GateKind.RZZ, GateKind.CP, GateKind.CZ}
+
+
+def _ops_on(n: int, kind: GateKind) -> list[GateOp]:
+    """``kind`` at every qubit, or every ordered pair of distinct qubits."""
+    angle = 0.73 if kind.is_parameterized else None
+    targets = itertools.permutations(range(n), kind.arity)
+    return [GateOp(kind, qubits, angle) for qubits in targets]
+
+
+def _random_state(n: int, precision: str, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    sv = init_zero(n, precision)
+    sv.amps[:] = psi / np.linalg.norm(psi)
+    return sv
+
+
+@pytest.mark.parametrize("precision, atol", [("double", 1e-12), ("single", 1e-6)])
+@pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
+def test_every_gate_at_every_target_matches_dense_oracle(kind, precision, atol):
+    n = 4
+    for seed, op in enumerate(_ops_on(n, kind)):
+        sv = _random_state(n, precision, seed)
+        expected = dense_apply(sv.amps.astype(np.complex128), op, n)
+        apply_gate(sv, op)
+        assert sv.amps.dtype == (np.complex128 if precision == "double" else np.complex64)
+        np.testing.assert_allclose(sv.amps, expected, atol=atol, err_msg=str(op))
+
+
+@st.composite
+def _random_circuits(draw):
+    n = draw(st.integers(1, 6))
+    return draw_gates(draw, Circuit(n), range(n), 20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_circuits())
+def test_random_circuits_match_dense_oracle(c):
+    np.testing.assert_allclose(run(c).amps, dense_run(c), atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
+def test_apply_gate_updates_the_state_buffer_in_place(kind):
+    sv = _random_state(3, "double")
+    buffer = sv.amps
+    for op in _ops_on(3, kind):
+        assert apply_gate(sv, op) is sv
+        assert np.shares_memory(sv.amps, buffer)
+
+
+@pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
+def test_apply_gate_allocates_less_than_two_states(kind):
+    # Diagonal gates only scale blocks in place; the rest hold at most one
+    # state of scaled blocks and scratch.  A tensordot into a new array plus
+    # a contiguous copy of it reads 2.0 states.
+    n = 16
+    sv = _random_state(n, "double")
+    state_bytes = sv.amps.nbytes
+    angle = 0.73 if kind.is_parameterized else None
+    qubit_sets = [(0,), (7,), (15,)] if kind.arity == 1 else [(0, 15), (9, 2), (5, 6)]
+    for qubits in qubit_sets:
+        op = GateOp(kind, qubits, angle)
+        tracemalloc.start()
+        try:
+            apply_gate(sv, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = 0.5 if kind in _DIAGONAL_KINDS else 2.0
+        assert peak < limit * state_bytes, (op, peak / state_bytes)

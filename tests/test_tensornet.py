@@ -28,7 +28,7 @@ from qcsim.tensornet import (
     tn_memory_bytes,
 )
 
-from conftest import brute_force_contract
+from conftest import brute_force_contract, draw_gates
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -288,24 +288,12 @@ def test_reconstruct_no_gates():
     _assert_matches_statevector(Circuit(3))
 
 
-_ONE_QUBIT = [("h", 0), ("x", 0), ("y", 0), ("rx", 1), ("ry", 1), ("rz", 1)]
-_TWO_QUBIT = [("cnot", 0), ("cz", 0), ("swap", 0), ("rzz", 1), ("cp", 1)]
-
-
 @st.composite
 def _circuits_with_an_idle_qubit(draw):
     n = draw(st.integers(2, 5))
     idle = draw(st.integers(0, n - 1))
     busy = [q for q in range(n) if q != idle]
-    c = Circuit(n)
-    for _ in range(draw(st.integers(0, 12))):
-        gates = _ONE_QUBIT + (_TWO_QUBIT if len(busy) > 1 else [])
-        name, takes_angle = draw(st.sampled_from(gates))
-        arity = 2 if (name, takes_angle) in _TWO_QUBIT else 1
-        qubits = draw(st.permutations(busy))[:arity]
-        angle = (draw(st.floats(-math.pi, math.pi)),) if takes_angle else ()
-        getattr(c, name)(*qubits, *angle)
-    return c
+    return draw_gates(draw, Circuit(n), busy, 12)
 
 
 @settings(max_examples=40, deadline=None)
