@@ -4,37 +4,30 @@ The distributed algorithm's semantics are reproduced with OS processes
 standing in for ranks (CPU-bound contraction needs real parallelism):
 pathfinding samples are spread over the pool and the single globally best
 plan is shared; the network is sliced into a power-of-two number of
-sub-networks; slices are assigned to workers by
-longest-processing-time-first on their FLOP estimates; each worker contracts
-and locally sums its slices; a final reduction adds the per-worker partials.
-Per-sample pathfinder seeds depend only on (seed, sample index), so the
-winning plan is identical for every worker count.  With
-``reduce_order="deterministic"`` the slice order within a worker and the
-reduction order are fixed, making repeated runs bit-identical.
+sub-networks; every slice has the same cost, so slice ``i`` goes to worker
+``i mod workers``; each worker contracts and locally sums its slices; a
+final reduction adds the per-worker partials.  Per-sample pathfinder seeds
+depend only on (seed, sample index), so the winning plan is identical for
+every worker count.  With ``reduce_order="deterministic"`` the slice order
+within a worker and the reduction order are fixed, making repeated runs
+bit-identical.
 
-Each worker pins its BLAS pools to one thread; otherwise every process
+Pool workers cap their BLAS at one thread, since otherwise every process
 spins up its own BLAS threads and the oversubscription erases the scaling.
+The cap goes through ``threadpoolctl`` when it is installed, else through
+the thread-count call of the OpenBLAS library loaded in the process.  When
+neither route exists, ``threadpool_limits`` is None, one warning is logged
+and workers keep their default BLAS threads.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-
-import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - soft dependency
-    threadpool_limits = None
-
-_WORKER_BLAS_LIMIT = None
-
-
-def _limit_worker_blas() -> None:
-    global _WORKER_BLAS_LIMIT
-    if threadpool_limits is not None:
-        _WORKER_BLAS_LIMIT = threadpool_limits(limits=1)
 
 from .circuit import Circuit
 from .errors import ConfigError
@@ -48,6 +41,84 @@ from .tensornet import (
     choose_slices,
     slice_assignments,
 )
+
+_log = logging.getLogger(__name__)
+
+# Lists every file mapped into this process, shared libraries included.
+_MAPS = "/proc/self/maps"
+
+
+def _openblas_calls():
+    """``(set_num_threads, get_num_threads)`` of the OpenBLAS library loaded
+    in this process, or None.
+
+    Builds differ in the symbol names: ``scipy-openblas`` (numpy's wheels)
+    prefixes ``scipy_``, and 64-bit-integer builds append ``64_``.
+    """
+    try:
+        with open(_MAPS) as maps:
+            paths = sorted({
+                line.split()[-1] for line in maps
+                if "openblas" in os.path.basename(line.split()[-1]).lower()
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                    get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@functools.cache
+def _blas_limiter():
+    """The call that caps this process's BLAS threads, used as
+    ``limiter(limits=n)``, or None (warned once) when there is no route."""
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        pass
+    else:
+        return threadpool_limits
+    calls = _openblas_calls()
+    if calls is None:
+        _log.warning(
+            "no BLAS thread control found (threadpoolctl is not installed and "
+            "no loaded OpenBLAS library exports a thread-count call): pool "
+            "workers keep their default BLAS threads and may oversubscribe the CPUs"
+        )
+        return None
+    set_threads = calls[0]
+
+    def openblas_limits(limits: int) -> None:
+        set_threads(limits)
+
+    return openblas_limits
+
+
+def __getattr__(name: str):
+    # Resolved on first use rather than at import, since finding the OpenBLAS
+    # library reads the process's memory map.
+    if name == "threadpool_limits":
+        return _blas_limiter()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _pin_worker_blas() -> None:
+    limiter = _blas_limiter()
+    if limiter is not None:
+        limiter(limits=1)
 
 
 @dataclass(frozen=True)
@@ -82,26 +153,9 @@ class ScalingRun:
         return hi / lo if lo > 0 else float("inf")
 
 
-def _sample_plan(net: TensorNetwork, cfg: PathfinderConfig, sample: int) -> ContractionPlan:
-    """One pathfinder descent, identical to find_path's sample ``sample``."""
-    sets = tn._index_sets(net)
-    if sample == 0:
-        steps, flops, peak = tn._greedy_descent(sets, 0.0, None)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, sample)))
-        steps, flops, peak = tn._greedy_descent(sets, cfg.greedy_noise, rng)
-    return ContractionPlan(len(net.tensors), steps, flops, peak)
-
-
-def _pathfind_shard(args) -> tuple[tuple[int, int], ContractionPlan] | None:
-    net, cfg, lo, hi = args
-    best = None
-    for sample in range(lo, hi):
-        plan = _sample_plan(net, cfg, sample)
-        key = (plan.est_flops, sample)
-        if best is None or key < best[0]:
-            best = (key, plan)
-    return best
+def _pathfind_shard(args) -> tuple[tuple[int, int], tuple[tuple[int, int], ...], int]:
+    sets, cfg, samples = args
+    return tn._best_descent(sets, cfg, samples)
 
 
 def _shared_plan(
@@ -110,18 +164,19 @@ def _shared_plan(
     executor: ProcessPoolExecutor | None,
     workers: int,
 ) -> ContractionPlan:
-    shards = []
-    for w in range(workers):
-        lo = w * cfg.num_samples // workers
-        hi = (w + 1) * cfg.num_samples // workers
-        if hi > lo:
-            shards.append((net, cfg, lo, hi))
+    sets = tn._index_sets(net)
+    n = cfg.num_samples
+    shards = [
+        (sets, cfg, range(w * n // workers, (w + 1) * n // workers))
+        for w in range(workers)
+    ]
+    shards = [s for s in shards if s[2]]
     if executor is None or len(shards) == 1:
         results = [_pathfind_shard(s) for s in shards]
     else:
         results = list(executor.map(_pathfind_shard, shards))
-    best = min((r for r in results if r is not None), key=lambda r: r[0])
-    return best[1]
+    (flops, _), steps, peak = min(results, key=lambda r: r[0])
+    return ContractionPlan(len(net.tensors), steps, flops, peak)
 
 
 def _contract_shard(args) -> complex:
@@ -134,8 +189,10 @@ def _contract_shard(args) -> complex:
 
 
 def make_worker_pool(workers: int) -> ProcessPoolExecutor:
-    """Process pool whose workers run single-threaded BLAS."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas)
+    """Process pool whose workers run single-threaded BLAS, where a route to
+    cap BLAS threads exists (a warning is logged where none does)."""
+    _blas_limiter()  # resolved here, so that forked workers inherit it
+    return ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas)
 
 
 def run_sliced(
@@ -148,7 +205,8 @@ def run_sliced(
 ) -> ScalingRun:
     """Contract the closed network of ``c``/``bitstring`` in ``slices``
     independent pieces spread over the worker pool; returns the amplitude
-    and the run's accounting.
+    and the run's accounting.  A plan whose per-slice peak is over the
+    memory budget raises ``CapacityError`` before any slice is dispatched.
 
     Pass a ``make_worker_pool`` executor to amortize pool startup over
     repeated runs; otherwise a pool is created and torn down per call.
@@ -171,23 +229,12 @@ def run_sliced(
         if slices > 1:
             plan = choose_slices(net, plan, slices)
         pathfind_time = time.perf_counter() - t0
+        tn._check_budget(plan)
 
         assignments = list(slice_assignments(plan))
         per_slice = plan.per_slice_flops or plan.est_flops
-
-        # Longest-processing-time-first; slice estimates are symmetric here
-        # so this reduces to a balanced round-robin, but the policy is
-        # general.
-        order = sorted(range(len(assignments)), key=lambda i: (-per_slice, i))
-        loads = [0.0] * pool.workers
-        shards: list[list[int]] = [[] for _ in range(pool.workers)]
-        for idx in order:
-            w = min(range(pool.workers), key=lambda j: (loads[j], j))
-            loads[w] += per_slice
-            shards[w].append(idx)
-        tasks = [
-            (net, plan, [assignments[i] for i in shard]) for shard in shards
-        ]
+        shards = [assignments[w::pool.workers] for w in range(pool.workers)]
+        tasks = [(net, plan, shard) for shard in shards]
 
         t1 = time.perf_counter()
         if pool.reduce_order == "deterministic":
@@ -209,7 +256,7 @@ def run_sliced(
         workers=pool.workers,
         slices=slices,
         wall_time=wall,
-        per_worker_flops=[float(l) for l in loads],
+        per_worker_flops=[float(per_slice * len(shard)) for shard in shards],
         result=total,
         pathfind_time=pathfind_time,
         est_flops=plan.est_flops,

@@ -11,9 +11,9 @@ Every entry point runs the same pipeline: ``build_network`` (conversion
 plus absorption of the rank-1 tensors), ``find_path``, then contraction.
 An amplitude contracts the closed network to a scalar.  The full output
 distribution contracts the open network once to the n-qubit output state
-and squares it; before it allocates, the plan's estimated peak is checked
-against the state-vector budget (``QCSIM_MAX_QUBITS``), and a plan over it
-raises ``CapacityError``.
+and squares it.  Before any contraction allocates, the plan's estimated
+peak (per slice, when sliced) is checked against the state-vector budget
+(``QCSIM_MAX_QUBITS``), and a plan over it raises ``CapacityError``.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
 keeps the plan with the lowest estimated FLOP count.  The cost of a pairwise
@@ -261,23 +261,36 @@ def _index_sets(net: TensorNetwork, drop: frozenset[str] = frozenset()) -> list[
     return [frozenset(t.indices) - drop for t in net.tensors]
 
 
+def _replay_record(
+    num_tensors: int,
+    steps: tuple[tuple[int, int], ...],
+    sets: list[frozenset[str]],
+) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
+    """Replay ``steps`` over ``sets``: each step's index union, and every
+    tensor's index set (the inputs, then each step's output)."""
+    buf: dict[int, frozenset[str]] = dict(enumerate(sets))
+    unions: list[frozenset[str]] = []
+    tensors = list(sets)
+    next_id = num_tensors
+    for i, j in steps:
+        a, b = buf.pop(i), buf.pop(j)
+        unions.append(a | b)
+        out = a ^ b
+        tensors.append(out)
+        buf[next_id] = out
+        next_id += 1
+    return unions, tensors
+
+
 def _replay(
     num_tensors: int,
     steps: tuple[tuple[int, int], ...],
     sets: list[frozenset[str]],
 ) -> tuple[int, int]:
     """(total flops, peak output elements) of ``steps`` over ``sets``."""
-    buf: dict[int, frozenset[str]] = dict(enumerate(sets))
-    flops = 0
-    peak = max((1 << len(s) for s in sets), default=1)
-    next_id = num_tensors
-    for i, j in steps:
-        a, b = buf.pop(i), buf.pop(j)
-        flops += pair_cost(a, b)
-        out = a ^ b
-        peak = max(peak, 1 << len(out))
-        buf[next_id] = out
-        next_id += 1
+    unions, tensors = _replay_record(num_tensors, steps, sets)
+    flops = sum(1 << len(u) for u in unions)
+    peak = max((1 << len(s) for s in tensors), default=1)
     return max(flops, 1), peak
 
 
@@ -331,27 +344,39 @@ def _greedy_descent(
     return tuple(steps), max(flops, 1), peak
 
 
-def find_path(net: TensorNetwork, cfg: PathfinderConfig) -> ContractionPlan:
-    """Best-of-``num_samples`` randomized greedy search, deterministic in
-    ``cfg.seed``.  Sample 0 always runs pure greedy as a baseline."""
-    if not net.tensors:
-        raise StructuralError("cannot plan an empty network")
-    sets = _index_sets(net)
-    best: tuple[int, int, tuple, int] | None = None  # (flops, sample, steps, peak)
-    for sample in range(cfg.num_samples):
+def _best_descent(
+    sets: list[frozenset[str]], cfg: PathfinderConfig, samples: range
+) -> tuple[tuple[int, int], tuple[tuple[int, int], ...], int]:
+    """The lowest-``(flops, sample)`` descent over ``samples``, as
+    ``((flops, sample), steps, peak)``.
+
+    Sample 0 is pure greedy; sample ``k > 0`` draws its noise from a
+    generator seeded by ``(cfg.seed, k)`` alone, so any split of the sample
+    range picks the same winner.
+    """
+    best = None
+    for sample in samples:
         if sample == 0:
             steps, flops, peak = _greedy_descent(sets, 0.0, None)
         else:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, sample)))
             steps, flops, peak = _greedy_descent(sets, cfg.greedy_noise, rng)
-        key = (flops, sample)
-        if best is None or key < (best[0], best[1]):
-            best = (flops, sample, steps, peak)
+        if best is None or (flops, sample) < best[0]:
+            best = ((flops, sample), steps, peak)
+    return best
+
+
+def find_path(net: TensorNetwork, cfg: PathfinderConfig) -> ContractionPlan:
+    """Best-of-``num_samples`` randomized greedy search, deterministic in
+    ``cfg.seed``.  Sample 0 always runs pure greedy as a baseline."""
+    if not net.tensors:
+        raise StructuralError("cannot plan an empty network")
+    (flops, _), steps, peak = _best_descent(_index_sets(net), cfg, range(cfg.num_samples))
     return ContractionPlan(
         num_tensors=len(net.tensors),
-        steps=best[2],
-        est_flops=best[0],
-        est_peak_elements=best[3],
+        steps=steps,
+        est_flops=flops,
+        est_peak_elements=peak,
     )
 
 
@@ -379,10 +404,27 @@ def _check_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
         next_id += 1
 
 
+def _check_budget(plan: ContractionPlan) -> None:
+    """Raise ``CapacityError`` when the plan's estimated peak (per slice, for
+    a sliced plan) exceeds the state-vector budget of ``2^QCSIM_MAX_QUBITS``
+    elements; every contraction entry point calls this before it allocates."""
+    limit = _resolve_max_qubits(None)
+    if plan.est_peak_elements > 1 << limit:
+        required = plan.est_peak_elements * 16
+        raise CapacityError(
+            f"contraction plan peaks at {plan.est_peak_elements} elements "
+            f"({required} bytes), over the 2^{limit}-element budget; "
+            f"set {_ENV_MAX_QUBITS} to override",
+            required_bytes=required,
+        )
+
+
 def contract(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
-    """Execute an unsliced plan; the value is plan-independent."""
+    """Execute an unsliced plan; the value is plan-independent.  A plan over
+    the memory budget raises ``CapacityError`` before anything is contracted."""
     if plan.sliced_labels:
         raise StructuralError("plan has sliced labels; use contract_sliced")
+    _check_budget(plan)
     return _contract_assignment(net, plan, {})
 
 
@@ -412,7 +454,9 @@ def slice_assignments(plan: ContractionPlan):
 
 
 def contract_sliced(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
-    """Sum of all slice contractions; equals the unsliced result."""
+    """Sum of all slice contractions; equals the unsliced result.  A plan
+    whose per-slice peak is over the memory budget raises ``CapacityError``."""
+    _check_budget(plan)
     total = None
     for assignment in slice_assignments(plan):
         part = _contract_assignment(net, plan, assignment)
@@ -424,32 +468,44 @@ def choose_slices(
     net: TensorNetwork, plan: ContractionPlan, target_slices: int
 ) -> ContractionPlan:
     """Pick log2(target_slices) labels to slice, greedily minimizing the
-    peak intermediate size (ties: larger FLOP reduction, then label order)."""
+    peak intermediate size (ties: larger FLOP reduction, then label order).
+
+    Each pick replays the plan once and scores every candidate label ``L``
+    from that record: slicing ``L`` halves each step whose index union holds
+    ``L``, and takes one index off the peak only when ``L`` is in every
+    tensor of the top size.
+    """
     if target_slices < 1 or target_slices & (target_slices - 1):
         raise ConfigError(f"target_slices must be a power of two >= 1, got {target_slices}")
     wanted = int(math.log2(target_slices))
     candidates = sorted(net.all_labels() - set(net.open_indices) - set(plan.sliced_labels))
     chosen: list[str] = list(plan.sliced_labels)
-    warning = False
-    if wanted > len(candidates):
-        warning = True
+    warning = wanted > len(candidates)
 
-    for _ in range(wanted):
-        if not candidates:
-            warning = True
-            break
-        best = None
-        for label in candidates:
-            drop = frozenset(chosen) | {label}
-            flops, peak = _replay(plan.num_tensors, plan.steps, _index_sets(net, drop))
-            key = (peak, flops, label)
-            if best is None or key < best[0]:
-                best = (key, label)
-        chosen.append(best[1])
-        candidates.remove(best[1])
+    for _ in range(min(wanted, len(candidates))):
+        unions, tensors = _replay_record(
+            plan.num_tensors, plan.steps, _index_sets(net, frozenset(chosen))
+        )
+        flops = sum(1 << len(u) for u in unions)
+        saved: dict[str, int] = {}
+        for u in filter(None, unions):
+            half = 1 << (len(u) - 1)
+            for label in u:
+                saved[label] = saved.get(label, 0) + half
+        top = max(len(s) for s in tensors)
+        in_every_top = frozenset.intersection(*(s for s in tensors if len(s) == top))
 
-    drop = frozenset(chosen)
-    per_slice_flops, peak = _replay(plan.num_tensors, plan.steps, _index_sets(net, drop))
+        def key(label: str) -> tuple[int, int, str]:
+            peak = 1 << (top - (label in in_every_top))
+            return peak, max(flops - saved.get(label, 0), 1), label
+
+        best = min(candidates, key=key)
+        chosen.append(best)
+        candidates.remove(best)
+
+    per_slice_flops, peak = _replay(
+        plan.num_tensors, plan.steps, _index_sets(net, frozenset(chosen))
+    )
     return replace(
         plan,
         sliced_labels=tuple(sorted(chosen)),
@@ -491,19 +547,9 @@ def distribution_from_plan(net: TensorNetwork, plan: ContractionPlan) -> OutputD
 
     Qubit ``q``'s open index is ``net.open_indices[q]``; the output axes are
     put in reverse qubit order so that qubit 0 is the least-significant bit
-    of the flat index, as in ``bitstring_to_index``.  A plan whose estimated
-    peak exceeds the state-vector budget of ``2^QCSIM_MAX_QUBITS`` elements
-    raises ``CapacityError`` before anything is contracted.
+    of the flat index, as in ``bitstring_to_index``.  ``contract`` checks the
+    plan against the memory budget first.
     """
-    limit = _resolve_max_qubits(None)
-    if plan.est_peak_elements > 1 << limit:
-        required = plan.est_peak_elements * 16
-        raise CapacityError(
-            f"open contraction peaks at {plan.est_peak_elements} elements "
-            f"({required} bytes), over the 2^{limit}-element budget; "
-            f"set {_ENV_MAX_QUBITS} to override",
-            required_bytes=required,
-        )
     result = contract(net, plan)
     axes = [result.indices.index(label) for label in reversed(net.open_indices)]
     amps = np.transpose(result.data, axes).ravel()
@@ -518,8 +564,8 @@ def reconstruct_distribution(
     """Full output distribution from one contraction of the open network.
 
     Circuits wider than ``max_enumeration`` qubits are refused up front;
-    otherwise ``distribution_from_plan`` checks the plan's peak against the
-    state-vector budget before contracting.
+    otherwise ``contract`` checks the plan's peak against the state-vector
+    budget before contracting.
     """
     n = c.num_qubits
     if n > max_enumeration:

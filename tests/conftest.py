@@ -8,12 +8,14 @@ each other.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from qcsim.circuit import Circuit
+from qcsim.errors import ConfigError
 from qcsim.gates import GateKind
 
 
@@ -77,6 +79,59 @@ def brute_force_contract(net) -> np.ndarray:
     out_ids = [labels[label] for label in net.open_indices]
     operands.append(out_ids)
     return np.einsum(*operands)
+
+
+def _reference_replay(num_tensors, steps, sets):
+    """(flops, peak) of ``steps`` over the index ``sets``, step by step."""
+    buf = dict(enumerate(sets))
+    flops = 0
+    peak = max((1 << len(s) for s in sets), default=1)
+    next_id = num_tensors
+    for i, j in steps:
+        a, b = buf.pop(i), buf.pop(j)
+        flops += 1 << len(a | b)
+        peak = max(peak, 1 << len(a ^ b))
+        buf[next_id] = a ^ b
+        next_id += 1
+    return max(flops, 1), peak
+
+
+def reference_choose_slices(net, plan, target_slices):
+    """``choose_slices`` by replaying the whole plan once per candidate label:
+    the slow, obviously greedy form that the one-replay scoring must match."""
+    if target_slices < 1 or target_slices & (target_slices - 1):
+        raise ConfigError(f"target_slices must be a power of two >= 1, got {target_slices}")
+    wanted = int(math.log2(target_slices))
+    candidates = sorted(net.all_labels() - set(net.open_indices) - set(plan.sliced_labels))
+    chosen = list(plan.sliced_labels)
+    warning = wanted > len(candidates)
+
+    def cost(drop):
+        sets = [frozenset(t.indices) - drop for t in net.tensors]
+        return _reference_replay(plan.num_tensors, plan.steps, sets)
+
+    for _ in range(wanted):
+        if not candidates:
+            warning = True
+            break
+        best = None
+        for label in candidates:
+            flops, peak = cost(frozenset(chosen) | {label})
+            key = (peak, flops, label)
+            if best is None or key < best[0]:
+                best = (key, label)
+        chosen.append(best[1])
+        candidates.remove(best[1])
+
+    per_slice_flops, peak = cost(frozenset(chosen))
+    return replace(
+        plan,
+        sliced_labels=tuple(sorted(chosen)),
+        slice_warning=warning,
+        per_slice_flops=per_slice_flops,
+        est_flops=per_slice_flops * (1 << len(chosen)),
+        est_peak_elements=peak,
+    )
 
 
 @pytest.fixture

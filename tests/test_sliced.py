@@ -1,10 +1,27 @@
+import logging
+import sys
+
 import pytest
 
-from qcsim.errors import ConfigError
+from qcsim import sliced
+from qcsim.errors import CapacityError, ConfigError
 from qcsim.generators import Family, GeneratorSpec, generate
-from qcsim.sliced import ScalingRun, WorkerPoolConfig, run_sliced, strong_scaling_experiment
+from qcsim.sliced import (
+    ScalingRun,
+    WorkerPoolConfig,
+    make_worker_pool,
+    run_sliced,
+    strong_scaling_experiment,
+)
 from qcsim.statevector import distribution, run
-from qcsim.tensornet import PathfinderConfig, amplitude
+from qcsim.tensornet import (
+    PathfinderConfig,
+    amplitude,
+    build_network,
+    choose_slices,
+    find_path,
+    slice_assignments,
+)
 
 CFG = PathfinderConfig(num_samples=4, seed=13)
 
@@ -84,3 +101,93 @@ def test_worker_pool_config_validation():
         WorkerPoolConfig(workers=0)
     with pytest.raises(ConfigError):
         WorkerPoolConfig(reduce_order="sideways")
+
+
+class RecordingExecutor:
+    """Runs ``map`` in this process and records every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.calls.append((fn, tasks))
+        return map(fn, tasks)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with make_worker_pool(2) as executor:
+        yield executor
+
+
+def test_pooled_plan_matches_find_path(pool):
+    cfg = PathfinderConfig(num_samples=5, seed=3)
+    for family in (Family.QFT, Family.QAOA, Family.RANDOM, Family.VQE):
+        net = build_network(generate(GeneratorSpec(family, 8, seed=1)), "0" * 8)
+        expected = find_path(net, cfg)
+        for workers in (1, 2, 3):
+            executor = pool if workers > 1 else None
+            assert sliced._shared_plan(net, cfg, executor, workers) == expected, (family, workers)
+
+
+def test_slices_go_round_robin():
+    c = generate(GeneratorSpec(Family.QFT, 10))
+    executor = RecordingExecutor()
+    r = run_sliced(c, "0" * 10, CFG, WorkerPoolConfig(workers=3), slices=8, executor=executor)
+    net = build_network(c, "0" * 10)
+    plan = choose_slices(net, find_path(net, CFG), 8)
+    assignments = list(slice_assignments(plan))
+    assert len(assignments) == 8
+    [tasks] = [tasks for fn, tasks in executor.calls if fn is sliced._contract_shard]
+    assert [shard for _, _, shard in tasks] == [assignments[w::3] for w in range(3)]
+    assert r.per_worker_flops == [3 * plan.per_slice_flops] * 2 + [2 * plan.per_slice_flops]
+    assert r.result == pytest.approx(amplitude(c, "0" * 10, CFG), abs=1e-12)
+
+
+def test_run_sliced_checks_the_per_slice_budget(monkeypatch):
+    # qft-10's plan peaks at 2^11 elements unsliced and 2^9 over 8 slices.
+    c = generate(GeneratorSpec(Family.QFT, 10))
+    expected = amplitude(c, "0" * 10, CFG)
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "9")
+    executor = RecordingExecutor()
+    with pytest.raises(CapacityError) as info:
+        run_sliced(c, "0" * 10, CFG, WorkerPoolConfig(workers=2), slices=2, executor=executor)
+    assert info.value.required_bytes == 1024 * 16
+    assert all(fn is not sliced._contract_shard for fn, _ in executor.calls)
+    r = run_sliced(c, "0" * 10, CFG, WorkerPoolConfig(workers=2), slices=8, executor=executor)
+    assert r.result == pytest.approx(expected, abs=1e-12)
+
+
+def _worker_blas_threads() -> int:
+    try:
+        from threadpoolctl import threadpool_info
+    except ImportError:
+        return sliced._openblas_calls()[1]()
+    return max(p["num_threads"] for p in threadpool_info() if p["user_api"] == "blas")
+
+
+@pytest.mark.skipif(sliced.threadpool_limits is None, reason="no BLAS pinning route")
+def test_pool_worker_runs_one_blas_thread():
+    with make_worker_pool(1) as executor:
+        assert executor.submit(_worker_blas_threads).result(timeout=60) == 1
+
+
+@pytest.fixture
+def no_blas_route(monkeypatch, tmp_path):
+    empty_maps = tmp_path / "maps"
+    empty_maps.write_text("")
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.setattr(sliced, "_MAPS", str(empty_maps))
+    sliced._blas_limiter.cache_clear()
+    yield
+    sliced._blas_limiter.cache_clear()
+
+
+def test_missing_blas_route_warns_once(no_blas_route, caplog):
+    with caplog.at_level(logging.WARNING, logger="qcsim.sliced"):
+        assert sliced.threadpool_limits is None
+        assert sliced.threadpool_limits is None
+        sliced._pin_worker_blas()
+    assert len(caplog.records) == 1
+    assert "BLAS" in caplog.records[0].getMessage()

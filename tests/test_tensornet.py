@@ -28,7 +28,7 @@ from qcsim.tensornet import (
     tn_memory_bytes,
 )
 
-from conftest import brute_force_contract, draw_gates
+from conftest import brute_force_contract, draw_gates, reference_choose_slices
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -314,12 +314,31 @@ def test_distribution_from_plan_refuses_peak_over_budget(monkeypatch):
     def no_contraction(*args):
         raise AssertionError("contracted an over-budget plan")
 
-    monkeypatch.setattr(tensornet, "contract", no_contraction)
+    monkeypatch.setattr(tensornet, "_contract_assignment", no_contraction)
     with pytest.raises(CapacityError) as info:
         distribution_from_plan(net, plan)
     assert info.value.required_bytes == plan.est_peak_elements * 16
     with pytest.raises(CapacityError):
         reconstruct_distribution(c)
+
+
+def test_amplitude_refuses_peak_over_budget(monkeypatch):
+    # qft-10's closed plan peaks at 2^11 elements.
+    c = generate(GeneratorSpec(Family.QFT, 10))
+    cfg = PathfinderConfig(num_samples=4, seed=13)
+    plan = find_path(build_network(c, "0" * 10), cfg)
+    assert plan.est_peak_elements > 1 << 9
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "9")
+
+    def no_contraction(*args):
+        raise AssertionError("contracted an over-budget plan")
+
+    monkeypatch.setattr(tensornet, "_contract_assignment", no_contraction)
+    with pytest.raises(CapacityError) as info:
+        amplitude(c, "0" * 10, cfg)
+    assert info.value.required_bytes == plan.est_peak_elements * 16
+    with pytest.raises(CapacityError):
+        contract_sliced(build_network(c, "0" * 10), plan)
 
 
 def test_distribution_within_budget(monkeypatch):
@@ -386,6 +405,44 @@ def test_sliced_sum_identity_across_families():
             sliced = choose_slices(net, plan, target)
             total = complex(contract_sliced(net, sliced).data.reshape(()))
             assert abs(total - unsliced) <= 1e-8 * max(abs(unsliced), 1e-30)
+
+
+def test_choose_slices_matches_reference():
+    cfg = PathfinderConfig(num_samples=2, seed=1)
+    for family in Family:
+        for n in (6, 8):
+            c = generate(GeneratorSpec(family, n, seed=3))
+            for bits in ("0" * n, None):
+                net = build_network(c, bits)
+                plan = find_path(net, cfg)
+                for target in (1, 2, 8, 64):
+                    expected = reference_choose_slices(net, plan, target)
+                    assert choose_slices(net, plan, target) == expected, (family, n, bits, target)
+
+
+@st.composite
+def _circuits_and_bitstrings(draw):
+    n = draw(st.integers(1, 6))
+    c = draw_gates(draw, Circuit(n), range(n), 20)
+    bits = draw(st.none() | st.text("01", min_size=n, max_size=n))
+    return c, bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _circuits_and_bitstrings(),
+    st.integers(0, 5),
+    st.sampled_from([1, 2, 4, 8, 64]),
+    st.sampled_from([1, 2, 4]),
+)
+def test_choose_slices_matches_reference_on_random_circuits(case, seed, target, again):
+    c, bits = case
+    net = build_network(c, bits)
+    plan = find_path(net, PathfinderConfig(num_samples=2, seed=seed))
+    sliced = choose_slices(net, plan, target)
+    assert sliced == reference_choose_slices(net, plan, target)
+    # A plan that is already sliced keeps its labels and adds more.
+    assert choose_slices(net, sliced, again) == reference_choose_slices(net, sliced, again)
 
 
 def test_contract_refuses_sliced_plan(bell):
