@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import harness
 from .advisor import Backend, advise_circuit
 from .circuit import Circuit
 from .errors import CapacityError, ConfigError, QasmParseError, QcsimError
-from .generators import Family, GeneratorSpec, family_from_name, generate
+from .generators import GeneratorSpec, family_from_name, generate
 from .metrics import MetricsReport, compute_all
 from .qasm import emit_qasm, parse_qasm
 from .sliced import strong_scaling_experiment
@@ -140,11 +140,7 @@ def _averaged_report(args) -> MetricsReport:
     spec = _spec_from_args(args)
     reports = []
     for seed in range(args.avg_seeds):
-        c = generate(GeneratorSpec(
-            family=spec.family, n=spec.n, p_layers=spec.p_layers, k=spec.k,
-            m=spec.m, l_layers=spec.l_layers, t_steps=spec.t_steps,
-            seed=seed, dual_oracle=spec.dual_oracle))
-        reports.append(compute_all(c))
+        reports.append(compute_all(generate(replace(spec, seed=seed))))
 
     def mean_of(name):
         values = [getattr(r, name) for r in reports]
@@ -225,7 +221,8 @@ def _cmd_simulate(args) -> int:
     else:
         payload, records = _simulate_one(circuit, backend, args)
     if args.out:
-        _write_out(harness.bench_records_to_csv(records), args.out)
+        _write_out(harness.rows_to_csv([asdict(r) for r in records],
+                                       harness.BENCH_COLUMNS), args.out)
     if args.json:
         payload["bench_records"] = [asdict(r) for r in records]
     sys.stdout.write(harness.to_json(payload) + "\n")
@@ -237,13 +234,14 @@ def _cmd_pathstudy(args) -> int:
     result = harness.pathfinding_study(
         spec, _int_list(args.samples), repetitions=args.reps,
         seed=args.seed or 0)
-    csv_text = harness.pathstudy_to_csv(result)
+    rows = [asdict(r) for r in result.rows]
+    csv_text = harness.rows_to_csv(rows, harness.PATHSTUDY_COLUMNS)
     if args.out:
         _write_out(csv_text, args.out)
     payload = {
         "observed_class": result.observed_class,
         "predicted_class": result.predicted_class,
-        "rows": [asdict(r) for r in result.rows],
+        "rows": rows,
     }
     sys.stdout.write(harness.to_json(payload) + "\n" if args.json else csv_text)
     return EXIT_OK
@@ -259,12 +257,12 @@ def _cmd_scaling(args) -> int:
     cfg = PathfinderConfig(num_samples=args.samples, seed=args.seed or 0)
     runs = strong_scaling_experiment(
         spec, workers, cfg, repetitions=args.reps, slices=args.slices)
-    csv_text = harness.scaling_runs_to_csv(runs)
+    rows = [harness.scaling_run_row(r) for r in runs]
+    csv_text = harness.rows_to_csv(rows, harness.SCALING_COLUMNS)
     if args.out:
         _write_out(csv_text, args.out)
     if args.json:
-        sys.stdout.write(harness.to_json(
-            [harness.scaling_run_row(r) for r in runs]) + "\n")
+        sys.stdout.write(harness.to_json(rows) + "\n")
     elif not args.out:
         sys.stdout.write(csv_text)
     return EXIT_OK
@@ -274,7 +272,7 @@ def _cmd_memory(args) -> int:
     lo, _, hi = args.n_range.partition(":")
     n_values = list(range(int(lo), int(hi or lo) + 1))
     rows = harness.memory_table(n_values, precision=args.precision)
-    csv_text = harness.memory_rows_to_csv(rows)
+    csv_text = harness.rows_to_csv(rows, harness.MEMORY_COLUMNS)
     if args.out:
         _write_out(csv_text, args.out)
     sys.stdout.write(harness.to_json(rows) + "\n" if args.json else csv_text)

@@ -9,36 +9,18 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .circuit import Circuit
 from .errors import ConfigError
 from .generators import Family, GeneratorSpec, generate
-from .metrics import compute_all
 from .sliced import ScalingRun
 from . import statevector as sv_backend
 from . import tensornet as tn_backend
 from .tensornet import PathfinderConfig
-
-BENCH_COLUMNS = (
-    "circuit",
-    "family",
-    "n",
-    "backend",
-    "precision",
-    "pathfind_samples",
-    "pathfind_time_s",
-    "contract_or_run_time_s",
-    "total_time_s",
-    "mem_bytes_est",
-    "peak_intermediate_elements",
-    "seed",
-    "rep",
-)
 
 SCALING_COLUMNS = (
     "circuit",
@@ -51,16 +33,6 @@ SCALING_COLUMNS = (
     "imbalance",
     "result_re",
     "result_im",
-)
-
-PATHSTUDY_COLUMNS = (
-    "family",
-    "n",
-    "samples",
-    "pathfind_time_s",
-    "best_est_flops",
-    "contract_time_mean_s",
-    "contract_time_p90_s",
 )
 
 MEMORY_COLUMNS = ("series", "n", "bytes")
@@ -83,32 +55,21 @@ class BenchRecord:
     rep: int
 
 
-def timed(
-    fn, warmup: int, reps: int, min_batch_time: float = 0.0
-) -> tuple[list[float], object]:
-    """Run ``fn`` ``warmup + reps`` times; return measured times and the
-    last result.
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
-    With ``min_batch_time`` > 0, calls faster than that are measured in
-    batches and divided out, so sub-millisecond work is not swamped by
-    timer jitter.
-    """
-    result = None
+
+def timed(fn, warmup: int, reps: int) -> tuple[list[float], object]:
+    """Run ``fn`` ``warmup + reps`` times; return measured times and the
+    last result.  ``reps`` below 1 raises ``ConfigError``."""
+    if reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {reps}")
     for _ in range(warmup):
-        result = fn()
-    batch = 1
-    if min_batch_time > 0:
-        t0 = time.perf_counter()
-        result = fn()
-        once = time.perf_counter() - t0
-        if once < min_batch_time:
-            batch = max(1, int(math.ceil(min_batch_time / max(once, 1e-9))))
+        fn()
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        for _ in range(batch):
-            result = fn()
-        times.append((time.perf_counter() - t0) / batch)
+        result = fn()
+        times.append(time.perf_counter() - t0)
     return times, result
 
 
@@ -139,68 +100,49 @@ def bench_simulate(
     asks, and its records say so.
     """
     cfg = cfg or PathfinderConfig()
-    family = c.params.get("family", "")
-    records: list[BenchRecord] = []
+    n = c.num_qubits
 
     if backend == "sv":
-        times, result = timed(lambda: sv_backend.run(c, precision), warmup, reps)
-        dist = sv_backend.distribution(result)
-        mem = sv_backend.sv_memory_bytes(c.num_qubits, precision)
-        for rep, t in enumerate(times):
-            records.append(
-                BenchRecord(
-                    circuit=c.name or "circuit",
-                    family=family,
-                    n=c.num_qubits,
-                    backend="sv",
-                    precision=precision,
-                    pathfind_samples=0,
-                    pathfind_time_s=0.0,
-                    contract_or_run_time_s=t,
-                    total_time_s=t,
-                    mem_bytes_est=mem,
-                    peak_intermediate_elements=1 << c.num_qubits,
-                    seed=seed,
-                    rep=rep,
-                )
-            )
-        return dist, records
-
-    if backend != "tn":
+        times, state = timed(lambda: sv_backend.run(c, precision), warmup, reps)
+        result = sv_backend.distribution(state)
+        pathfind_time, samples, peak = 0.0, 0, 1 << n
+        mem = sv_backend.sv_memory_bytes(n, precision)
+    elif backend == "tn":
+        # Plan once, outside the timed contraction, on the network that runs.
+        wants_distribution = n <= tn_backend.DEFAULT_ENUMERATION_GUARD
+        net = tn_backend.build_network(c, None if wants_distribution else "0" * n)
+        t0 = time.perf_counter()
+        plan = tn_backend.find_path(net, cfg)
+        pathfind_time = time.perf_counter() - t0
+        if wants_distribution:
+            work = lambda: tn_backend.distribution_from_plan(net, plan)
+        else:
+            work = lambda: complex(tn_backend.contract(net, plan).data.reshape(()))
+        times, result = timed(work, warmup, reps)
+        samples, peak = cfg.num_samples, plan.est_peak_elements
+        mem = tn_backend.tn_memory_bytes(net, "double")
+        precision = "double"
+    else:
         raise ConfigError(f"unknown backend {backend!r}; use sv, tn or auto")
 
-    # Plan once, outside the timed contraction, on the network that runs.
-    n = c.num_qubits
-    wants_distribution = n <= tn_backend.DEFAULT_ENUMERATION_GUARD
-    net = tn_backend.build_network(c, None if wants_distribution else "0" * n)
-    t0 = time.perf_counter()
-    plan = tn_backend.find_path(net, cfg)
-    pathfind_time = time.perf_counter() - t0
-
-    if wants_distribution:
-        work = lambda: tn_backend.distribution_from_plan(net, plan)
-    else:
-        work = lambda: complex(tn_backend.contract(net, plan).data.reshape(()))
-    times, result = timed(work, warmup, reps)
-    mem = tn_backend.tn_memory_bytes(net, "double")
-    for rep, t in enumerate(times):
-        records.append(
-            BenchRecord(
-                circuit=c.name or "circuit",
-                family=family,
-                n=n,
-                backend="tn",
-                precision="double",
-                pathfind_samples=cfg.num_samples,
-                pathfind_time_s=pathfind_time,
-                contract_or_run_time_s=t,
-                total_time_s=pathfind_time + t,
-                mem_bytes_est=mem,
-                peak_intermediate_elements=plan.est_peak_elements,
-                seed=seed,
-                rep=rep,
-            )
+    records = [
+        BenchRecord(
+            circuit=c.name or "circuit",
+            family=c.params.get("family", ""),
+            n=n,
+            backend=backend,
+            precision=precision,
+            pathfind_samples=samples,
+            pathfind_time_s=pathfind_time,
+            contract_or_run_time_s=t,
+            total_time_s=pathfind_time + t,
+            mem_bytes_est=mem,
+            peak_intermediate_elements=peak,
+            seed=seed,
+            rep=rep,
         )
+        for rep, t in enumerate(times)
+    ]
     return result, records
 
 
@@ -218,6 +160,9 @@ class PathStudyRow:
     contract_time_p90_s: float
 
 
+PATHSTUDY_COLUMNS = tuple(f.name for f in fields(PathStudyRow))
+
+
 @dataclass
 class PathStudyResult:
     rows: list[PathStudyRow]
@@ -231,7 +176,6 @@ def pathfinding_study(
     repetitions: int = 10,
     warmup: int = 1,
     seed: int = 0,
-    greedy_noise: float = 1.0,
     bitstring: str | None = None,
 ) -> PathStudyResult:
     """Pathfinding budget vs contraction time, single-threaded pathfinding.
@@ -243,18 +187,19 @@ def pathfinding_study(
     Slope classification: contraction-time improvement of 10% or more from
     the first to the best budget marks the problem unbounded; a FLOP
     landscape flat to within 1% marks it pathfinding-bound; anything else
-    is contraction-bound.
+    is contraction-bound.  An empty ``samples_list`` raises ``ConfigError``.
     """
     from .advisor import advise_circuit
 
+    if not samples_list:
+        raise ConfigError("samples_list must name at least one sample budget")
     c = generate(spec)
     bits = bitstring if bitstring is not None else "0" * c.num_qubits
-    net = tn_backend.circuit_to_network(c, bits)
-    net = tn_backend.absorb_small_tensors(net, max_rank=1)
+    net = tn_backend.build_network(c, bits)
 
     rows: list[PathStudyRow] = []
     for samples in samples_list:
-        cfg = PathfinderConfig(num_samples=samples, seed=seed, greedy_noise=greedy_noise)
+        cfg = PathfinderConfig(num_samples=samples, seed=seed)
         t0 = time.perf_counter()
         plan = tn_backend.find_path(net, cfg)
         pathfind_time = time.perf_counter() - t0
@@ -338,22 +283,6 @@ def rows_to_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
 
 def csv_to_rows(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
-
-
-def bench_records_to_csv(records: list[BenchRecord]) -> str:
-    return rows_to_csv([asdict(r) for r in records], BENCH_COLUMNS)
-
-
-def scaling_runs_to_csv(runs: list[ScalingRun]) -> str:
-    return rows_to_csv([scaling_run_row(r) for r in runs], SCALING_COLUMNS)
-
-
-def pathstudy_to_csv(result: PathStudyResult) -> str:
-    return rows_to_csv([asdict(r) for r in result.rows], PATHSTUDY_COLUMNS)
-
-
-def memory_rows_to_csv(rows: list[dict]) -> str:
-    return rows_to_csv(rows, MEMORY_COLUMNS)
 
 
 def to_json(payload) -> str:

@@ -8,9 +8,8 @@ sub-networks; every slice has the same cost, so slice ``i`` goes to worker
 ``i mod workers``; each worker contracts and locally sums its slices; a
 final reduction adds the per-worker partials.  Per-sample pathfinder seeds
 depend only on (seed, sample index), so the winning plan is identical for
-every worker count.  With ``reduce_order="deterministic"`` the slice order
-within a worker and the reduction order are fixed, making repeated runs
-bit-identical.
+every worker count.  The slice order within a worker and the reduction
+order are fixed, so repeated runs are bit-identical.
 
 Pool workers cap their BLAS at one thread, since otherwise every process
 spins up its own BLAS threads and the oversubscription erases the scaling.
@@ -26,7 +25,7 @@ import functools
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .circuit import Circuit
@@ -124,13 +123,10 @@ def _pin_worker_blas() -> None:
 @dataclass(frozen=True)
 class WorkerPoolConfig:
     workers: int = 1
-    reduce_order: str = "deterministic"  # or "arrival"
 
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.reduce_order not in ("deterministic", "arrival"):
-            raise ConfigError(f"unknown reduce_order {self.reduce_order!r}")
 
 
 @dataclass
@@ -181,11 +177,7 @@ def _shared_plan(
 
 def _contract_shard(args) -> complex:
     net, plan, assignments = args
-    partial = 0.0 + 0.0j
-    for assignment in assignments:
-        t = tn._contract_assignment(net, plan, assignment)
-        partial += complex(t.data.reshape(()))
-    return partial
+    return complex(tn._contract_slices(net, plan, assignments).data.reshape(()))
 
 
 def make_worker_pool(workers: int) -> ProcessPoolExecutor:
@@ -237,14 +229,7 @@ def run_sliced(
         tasks = [(net, plan, shard) for shard in shards]
 
         t1 = time.perf_counter()
-        if pool.reduce_order == "deterministic":
-            partials = list(executor.map(_contract_shard, tasks))
-        else:
-            futures = [executor.submit(_contract_shard, t) for t in tasks]
-            partials = [f.result() for f in as_completed(futures)]
-        total = 0.0 + 0.0j
-        for p in partials:
-            total += p
+        total = sum(executor.map(_contract_shard, tasks), 0j)
         wall = time.perf_counter() - t1
     finally:
         if own_executor:
@@ -274,10 +259,12 @@ def strong_scaling_experiment(
     """Mean-of-``repetitions`` timing per worker count, one warmup excluded.
 
     Slice count defaults to 4x the largest worker count (rounded up to a
-    power of two) so the balancer has work to spread.
+    power of two), so that every worker contracts several slices.
     """
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
+    if not worker_counts:
+        raise ConfigError("worker_counts must name at least one worker count")
     cfg = cfg or PathfinderConfig()
     c = generate(spec)
     bits = bitstring if bitstring is not None else "0" * c.num_qubits

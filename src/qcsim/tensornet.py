@@ -11,8 +11,10 @@ Every entry point runs the same pipeline: ``build_network`` (conversion
 plus absorption of the rank-1 tensors), ``find_path``, then contraction.
 An amplitude contracts the closed network to a scalar.  The full output
 distribution contracts the open network once to the n-qubit output state
-and squares it.  Before any contraction allocates, the plan's estimated
-peak (per slice, when sliced) is checked against the state-vector budget
+and squares it.  ``contract`` is the one plan executor: it runs sliced and
+unsliced plans alike, an unsliced plan being one slice with no label fixed.
+Before any contraction allocates, the plan's estimated peak (per slice,
+when sliced) is checked against the state-vector budget
 (``QCSIM_MAX_QUBITS``), and a plan over it raises ``CapacityError``.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,7 +157,6 @@ def absorb_small_tensors(
     net: TensorNetwork,
     max_rank: int = 1,
     keep: frozenset[int] = frozenset(),
-    min_tensors: int = 2,
 ) -> TensorNetwork:
     """One sweep contracting the network's rank <= ``max_rank`` tensors into
     a neighbour each.
@@ -165,7 +166,7 @@ def absorb_small_tensors(
     rank.  Only tensors small at entry are absorbed (no cascading, which
     would collapse chain-like networks outright and leave nothing to plan).
     Positions listed in ``keep`` are never absorbed; the sweep stops early
-    rather than dropping below ``min_tensors``.
+    rather than dropping below two tensors.
     """
     tensors = list(net.tensors)
     keep_ids = set(keep)
@@ -176,7 +177,7 @@ def absorb_small_tensors(
     ]
     alive = len(tensors)
     for i in small:
-        if alive <= min_tensors:
+        if alive <= 2:
             break
         t = tensors[i]
         if t is None:
@@ -239,22 +240,15 @@ class ContractionPlan:
     slice_warning: bool = False
     per_slice_flops: int | None = None
 
-    @property
-    def num_slices(self) -> int:
-        return 1 << len(self.sliced_labels)
-
 
 @dataclass(frozen=True)
 class PathfinderConfig:
     num_samples: int = 8
     seed: int = 0
-    greedy_noise: float = 1.0
 
     def __post_init__(self):
         if self.num_samples < 1:
             raise ConfigError("num_samples must be >= 1")
-        if self.greedy_noise < 0:
-            raise ConfigError("greedy_noise must be >= 0")
 
 
 def _index_sets(net: TensorNetwork, drop: frozenset[str] = frozenset()) -> list[frozenset[str]]:
@@ -295,16 +289,14 @@ def _replay(
 
 
 def _greedy_descent(
-    sets: list[frozenset[str]],
-    noise: float,
-    rng: np.random.Generator | None,
+    sets: list[frozenset[str]], rng: np.random.Generator | None
 ) -> tuple[tuple[tuple[int, int], ...], int, int]:
     """One randomized-greedy bottom-up contraction order.
 
-    Candidates are pairs sharing an index; the key is log2 of the step cost,
-    perturbed by Gumbel noise scaled with ``noise`` (0 = pure greedy,
-    deterministic smallest-ids tie-break).  Outer products are taken only
-    when no pair shares an index.
+    Candidates are pairs sharing an index; the key is log2 of the step cost
+    plus a Gumbel draw from ``rng`` (``None`` = pure greedy, deterministic
+    smallest-ids tie-break).  Outer products are taken only when no pair
+    shares an index.
     """
     active: dict[int, frozenset[str]] = dict(enumerate(sets))
     next_id = len(sets)
@@ -328,8 +320,8 @@ def _greedy_descent(
             best_key, pair = None, None
             for i, j in sorted(candidates):
                 key = float(len(active[i] | active[j]))
-                if noise > 0 and rng is not None:
-                    key += noise * rng.gumbel()
+                if rng is not None:
+                    key += rng.gumbel()
                 if best_key is None or key < best_key:
                     best_key, pair = key, (i, j)
         i, j = pair
@@ -356,11 +348,11 @@ def _best_descent(
     """
     best = None
     for sample in samples:
-        if sample == 0:
-            steps, flops, peak = _greedy_descent(sets, 0.0, None)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, sample)))
-            steps, flops, peak = _greedy_descent(sets, cfg.greedy_noise, rng)
+        rng = (
+            np.random.default_rng(np.random.SeedSequence((cfg.seed, sample)))
+            if sample else None
+        )
+        steps, flops, peak = _greedy_descent(sets, rng)
         if best is None or (flops, sample) < best[0]:
             best = ((flops, sample), steps, peak)
     return best
@@ -378,12 +370,6 @@ def find_path(net: TensorNetwork, cfg: PathfinderConfig) -> ContractionPlan:
         est_flops=flops,
         est_peak_elements=peak,
     )
-
-
-def replay_cost(net: TensorNetwork, plan: ContractionPlan) -> tuple[int, int]:
-    """Recompute (est_flops, est_peak) of ``plan`` on ``net``; slicing-aware."""
-    drop = frozenset(plan.sliced_labels)
-    return _replay(plan.num_tensors, plan.steps, _index_sets(net, drop))
 
 
 def _check_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
@@ -420,18 +406,27 @@ def _check_budget(plan: ContractionPlan) -> None:
 
 
 def contract(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
-    """Execute an unsliced plan; the value is plan-independent.  A plan over
-    the memory budget raises ``CapacityError`` before anything is contracted."""
-    if plan.sliced_labels:
-        raise StructuralError("plan has sliced labels; use contract_sliced")
+    """Execute ``plan``: the sum of its slice contractions, which equals the
+    unsliced result; the value is plan-independent.  A plan whose peak (per
+    slice) is over the memory budget raises ``CapacityError`` before anything
+    is contracted."""
     _check_budget(plan)
-    return _contract_assignment(net, plan, {})
+    return _contract_slices(net, plan, slice_assignments(plan))
+
+
+def _contract_slices(net: TensorNetwork, plan: ContractionPlan, assignments) -> Tensor:
+    """Sum of the plan's contractions under each of ``assignments``."""
+    _check_plan(net, plan)
+    total = None
+    for assignment in assignments:
+        part = _contract_assignment(net, plan, assignment)
+        total = part if total is None else Tensor(part.indices, total.data + part.data)
+    return total
 
 
 def _contract_assignment(
     net: TensorNetwork, plan: ContractionPlan, assignment: dict[str, int]
 ) -> Tensor:
-    _check_plan(net, plan)
     buf: dict[int, Tensor] = {
         i: (t.sliced(assignment) if assignment else t) for i, t in enumerate(net.tensors)
     }
@@ -447,21 +442,11 @@ def _contract_assignment(
 
 
 def slice_assignments(plan: ContractionPlan):
-    """All value assignments of the plan's sliced labels."""
+    """All value assignments of the plan's sliced labels; an unsliced plan
+    has exactly one, the empty assignment."""
     labels = plan.sliced_labels
     for bits in itertools.product((0, 1), repeat=len(labels)):
         yield dict(zip(labels, bits))
-
-
-def contract_sliced(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
-    """Sum of all slice contractions; equals the unsliced result.  A plan
-    whose per-slice peak is over the memory budget raises ``CapacityError``."""
-    _check_budget(plan)
-    total = None
-    for assignment in slice_assignments(plan):
-        part = _contract_assignment(net, plan, assignment)
-        total = part if total is None else Tensor(part.indices, total.data + part.data)
-    return total
 
 
 def choose_slices(
@@ -557,22 +542,20 @@ def distribution_from_plan(net: TensorNetwork, plan: ContractionPlan) -> OutputD
 
 
 def reconstruct_distribution(
-    c: Circuit,
-    cfg: PathfinderConfig | None = None,
-    max_enumeration: int = DEFAULT_ENUMERATION_GUARD,
+    c: Circuit, cfg: PathfinderConfig | None = None
 ) -> OutputDistribution:
     """Full output distribution from one contraction of the open network.
 
-    Circuits wider than ``max_enumeration`` qubits are refused up front;
-    otherwise ``contract`` checks the plan's peak against the state-vector
-    budget before contracting.
+    Circuits wider than ``DEFAULT_ENUMERATION_GUARD`` qubits are refused up
+    front; otherwise ``contract`` checks the plan's peak against the
+    state-vector budget before contracting.
     """
     n = c.num_qubits
-    if n > max_enumeration:
+    if n > DEFAULT_ENUMERATION_GUARD:
         required = (1 << n) * 16
         raise CapacityError(
-            f"the 2^{n}-amplitude output state needs {required} bytes; "
-            f"raise max_enumeration to allow it",
+            f"the 2^{n}-amplitude output state needs {required} bytes, over "
+            f"the {DEFAULT_ENUMERATION_GUARD}-qubit limit of the full distribution",
             required_bytes=required,
         )
     net = build_network(c)

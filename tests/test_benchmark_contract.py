@@ -1,0 +1,43 @@
+"""The benchmark under ``benchmark/`` calls into ``qcsim`` by name: function
+names, keyword arguments, config fields and result fields.  One tiny run of
+every workload, traced and untraced, keeps a change to that API from going
+unnoticed by the main suite.
+"""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmark"
+if str(BENCH) not in sys.path:
+    sys.path.append(str(BENCH))
+
+import run  # noqa: E402
+import workloads as wl  # noqa: E402
+
+TINY_JOBS = {
+    "sv-dist": [wl.Job("qft", 5), wl.Job("vqe", 5)],
+    "tn-dist": [wl.Job("qft", 4), wl.Job("random", 4)],
+    "tn-sliced": [wl.Job("qft", 8)],
+}
+
+
+def test_every_workload_has_a_tiny_job_list():
+    assert set(TINY_JOBS) == set(wl.WORKLOADS)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("name", sorted(TINY_JOBS))
+def test_workload_runs_correctly(name, trace):
+    lines, summary = run.run_benchmark(name, seed=3, seconds=0.0, trace=trace,
+                                       jobs=TINY_JOBS[name])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+    assert summary["attempted"] == len(TINY_JOBS[name])
+    failed_frac = next(line for line in lines if "failed_frac" in line)
+    if name == "tn-dist":
+        assert "0 of 2 probes failed" in failed_frac
+    else:
+        assert "0 of 0 probes failed" in failed_frac

@@ -126,6 +126,24 @@ def test_pathstudy_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--family", "qft", "--n", "4", "--backend", "sv", "--reps", "0"],
+    ["simulate", "--family", "qft", "--n", "4", "--backend", "tn", "--reps", "0"],
+    ["simulate", "--family", "qft", "--n", "4", "--backend", "sv", "--reps", "0",
+     "--warmup", "1"],
+    ["simulate", "--family", "qft", "--n", "4", "--backend", "tn", "--reps", "0",
+     "--warmup", "1"],
+    ["pathstudy", "--family", "vqe", "--n", "4", "--samples", "1", "--reps", "0"],
+    ["pathstudy", "--family", "vqe", "--n", "4", "--samples", "", "--reps", "1"],
+    ["scaling", "--family", "qft", "--n", "4", "--workers", "", "--reps", "1"],
+])
+def test_empty_repetitions_or_lists_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qcsim: ") and "must" in err
+
+
 def test_scaling_rejects_bad_slices(capsys):
     code, _, _ = run_cli(capsys, "scaling", "--family", "qft", "--n", "6",
                          "--workers", "4", "--slices", "2", "--reps", "1")

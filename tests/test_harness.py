@@ -12,6 +12,20 @@ from qcsim.tensornet import PathfinderConfig, build_network, find_path, tn_memor
 
 CFG = PathfinderConfig(num_samples=2, seed=0)
 
+BENCH_HEADER = [
+    "circuit", "family", "n", "backend", "precision", "pathfind_samples",
+    "pathfind_time_s", "contract_or_run_time_s", "total_time_s", "mem_bytes_est",
+    "peak_intermediate_elements", "seed", "rep",
+]
+SCALING_HEADER = [
+    "circuit", "n", "workers", "slices", "rep", "wall_time_s", "flops_est",
+    "imbalance", "result_re", "result_im",
+]
+PATHSTUDY_HEADER = [
+    "family", "n", "samples", "pathfind_time_s", "best_est_flops",
+    "contract_time_mean_s", "contract_time_p90_s",
+]
+
 
 def test_bench_simulate_sv_records():
     c = generate(GeneratorSpec(Family.QFT, 5))
@@ -53,22 +67,13 @@ def test_bench_simulate_tn_amplitude_past_enumeration_guard():
     assert r.total_time_s == r.pathfind_time_s + r.contract_or_run_time_s
 
 
-def test_timed_batches_fast_calls():
-    calls = []
-    times, result = harness.timed(lambda: calls.append(1) or len(calls), 0, 3,
-                                  min_batch_time=0.01)
-    assert len(times) == 3
-    assert len(calls) > 4  # one probe call, then batches of more than one
-    assert result == len(calls)
-
-
 def test_bench_csv_round_trip():
     c = generate(GeneratorSpec(Family.QFT, 4))
     _, records = harness.bench_simulate(c, "sv", warmup=0, reps=2)
-    text = harness.bench_records_to_csv(records)
+    text = harness.rows_to_csv([asdict(r) for r in records], harness.BENCH_COLUMNS)
+    assert text.splitlines()[0] == ",".join(BENCH_HEADER)
     rows = harness.csv_to_rows(text)
     assert len(rows) == len(records)
-    assert list(rows[0]) == list(harness.BENCH_COLUMNS)
     for row, rec in zip(rows, records):
         assert int(row["n"]) == rec.n
         assert float(row["total_time_s"]) == pytest.approx(rec.total_time_s)
@@ -79,9 +84,10 @@ def test_scaling_csv_round_trip():
     runs = strong_scaling_experiment(
         GeneratorSpec(Family.VQE, 6), [1, 2], CFG, repetitions=2, slices=4
     )
-    text = harness.scaling_runs_to_csv(runs)
+    text = harness.rows_to_csv([harness.scaling_run_row(r) for r in runs],
+                               harness.SCALING_COLUMNS)
+    assert text.splitlines()[0] == ",".join(SCALING_HEADER)
     rows = harness.csv_to_rows(text)
-    assert list(rows[0]) == list(harness.SCALING_COLUMNS)
     back = [
         complex(float(r["result_re"]), float(r["result_im"])) for r in rows
     ]
@@ -97,8 +103,9 @@ def test_pathstudy_rows_and_csv():
     flops = [r.best_est_flops for r in result.rows]
     assert all(a >= b for a, b in zip(flops, flops[1:]))
     assert result.predicted_class == "pathfinding_bound"
-    rows = harness.csv_to_rows(harness.pathstudy_to_csv(result))
-    assert list(rows[0]) == list(harness.PATHSTUDY_COLUMNS)
+    text = harness.rows_to_csv([asdict(r) for r in result.rows], harness.PATHSTUDY_COLUMNS)
+    assert text.splitlines()[0] == ",".join(PATHSTUDY_HEADER)
+    rows = harness.csv_to_rows(text)
     assert int(rows[0]["samples"]) == 1
 
 
@@ -115,7 +122,8 @@ def test_memory_table_values():
     assert sv_row["bytes"] == 32 * 1024 * 1024
     tn_row = [r for r in rows if r["series"] == "tn-hamiltonian"][0]
     assert tn_row["bytes"] > 0
-    text = harness.memory_rows_to_csv(rows)
+    text = harness.rows_to_csv(rows, harness.MEMORY_COLUMNS)
+    assert text.splitlines()[0] == "series,n,bytes"
     assert harness.csv_to_rows(text)[0]["series"] == "statevector"
 
 

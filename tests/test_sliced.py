@@ -7,7 +7,6 @@ from qcsim import sliced
 from qcsim.errors import CapacityError, ConfigError
 from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.sliced import (
-    ScalingRun,
     WorkerPoolConfig,
     make_worker_pool,
     run_sliced,
@@ -53,7 +52,7 @@ def test_result_invariant_across_worker_and_slice_counts():
 def test_deterministic_reduce_is_bit_identical():
     c = generate(GeneratorSpec(Family.QAOA, 8))
     bits = distribution(run(c)).most_likely()
-    pool = WorkerPoolConfig(workers=2, reduce_order="deterministic")
+    pool = WorkerPoolConfig(workers=2)
     results = {run_sliced(c, bits, CFG, pool, slices=8).result for _ in range(5)}
     assert len(results) == 1
 
@@ -99,8 +98,6 @@ def test_strong_scaling_experiment_rows():
 def test_worker_pool_config_validation():
     with pytest.raises(ConfigError):
         WorkerPoolConfig(workers=0)
-    with pytest.raises(ConfigError):
-        WorkerPoolConfig(reduce_order="sideways")
 
 
 class RecordingExecutor:

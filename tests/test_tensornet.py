@@ -20,11 +20,9 @@ from qcsim.tensornet import (
     circuit_to_network,
     contract,
     contract_pair,
-    contract_sliced,
     distribution_from_plan,
     find_path,
     reconstruct_distribution,
-    replay_cost,
     tn_memory_bytes,
 )
 
@@ -203,7 +201,7 @@ def test_est_flops_matches_replay():
     c = generate(GeneratorSpec(Family.HAMILTONIAN, 6))
     net = absorb_small_tensors(circuit_to_network(c, "0" * 6))
     plan = find_path(net, PathfinderConfig(num_samples=3, seed=5))
-    flops, peak = replay_cost(net, plan)
+    flops, peak = tensornet._replay(plan.num_tensors, plan.steps, tensornet._index_sets(net))
     assert flops == plan.est_flops
     assert peak == plan.est_peak_elements
 
@@ -275,7 +273,7 @@ def test_reconstruct_normalized():
 
 def test_reconstruct_guard():
     with pytest.raises(CapacityError):
-        reconstruct_distribution(Circuit(21), max_enumeration=20)
+        reconstruct_distribution(Circuit(tensornet.DEFAULT_ENUMERATION_GUARD + 1))
 
 
 def test_reconstruct_idle_wire():
@@ -337,8 +335,13 @@ def test_amplitude_refuses_peak_over_budget(monkeypatch):
     with pytest.raises(CapacityError) as info:
         amplitude(c, "0" * 10, cfg)
     assert info.value.required_bytes == plan.est_peak_elements * 16
-    with pytest.raises(CapacityError):
-        contract_sliced(build_network(c, "0" * 10), plan)
+    # Two slices still peak at 2^10 elements per slice.
+    net = build_network(c, "0" * 10)
+    sliced = choose_slices(net, plan, 2)
+    assert sliced.est_peak_elements > 1 << 9
+    with pytest.raises(CapacityError) as info:
+        contract(net, sliced)
+    assert info.value.required_bytes == sliced.est_peak_elements * 16
 
 
 def test_distribution_within_budget(monkeypatch):
@@ -364,7 +367,7 @@ def test_choose_slices_bell_two_slices(bell):
     plan = find_path(net, PathfinderConfig(num_samples=1))
     sliced = choose_slices(net, plan, 2)
     assert len(sliced.sliced_labels) == 1
-    total = contract_sliced(net, sliced)
+    total = contract(net, sliced)
     assert complex(total.data.reshape(())) == pytest.approx(S2, abs=1e-10)
 
 
@@ -394,6 +397,7 @@ def test_slicing_never_increases_peak():
 
 
 def test_sliced_sum_identity_across_families():
+    # ``contract`` runs a sliced plan to the value of the unsliced one.
     cfg = PathfinderConfig(num_samples=2, seed=9)
     for family in Family:
         c = generate(GeneratorSpec(family, 8, seed=5))
@@ -403,8 +407,20 @@ def test_sliced_sum_identity_across_families():
         unsliced = complex(contract(net, plan).data.reshape(()))
         for target in (2, 4, 8, 16):
             sliced = choose_slices(net, plan, target)
-            total = complex(contract_sliced(net, sliced).data.reshape(()))
+            assert len(sliced.sliced_labels) == target.bit_length() - 1
+            total = complex(contract(net, sliced).data.reshape(()))
             assert abs(total - unsliced) <= 1e-8 * max(abs(unsliced), 1e-30)
+
+
+def test_distribution_from_sliced_open_plan_matches_statevector():
+    cfg = PathfinderConfig(num_samples=2, seed=4)
+    for family in Family:
+        c = generate(GeneratorSpec(family, 6, seed=2))
+        net = build_network(c)
+        plan = choose_slices(net, find_path(net, cfg), 4)
+        assert plan.sliced_labels
+        got = distribution_from_plan(net, plan)
+        np.testing.assert_allclose(got.probs, distribution(run(c)).probs, atol=1e-10)
 
 
 def test_choose_slices_matches_reference():
@@ -443,13 +459,6 @@ def test_choose_slices_matches_reference_on_random_circuits(case, seed, target, 
     assert sliced == reference_choose_slices(net, plan, target)
     # A plan that is already sliced keeps its labels and adds more.
     assert choose_slices(net, sliced, again) == reference_choose_slices(net, sliced, again)
-
-
-def test_contract_refuses_sliced_plan(bell):
-    net = absorb_small_tensors(circuit_to_network(bell, "00"))
-    plan = choose_slices(net, find_path(net, PathfinderConfig(num_samples=1)), 2)
-    with pytest.raises(StructuralError):
-        contract(net, plan)
 
 
 def test_plan_network_mismatch_detected(bell):
