@@ -2,8 +2,8 @@
 
 Subcommands: generate, metrics, simulate, pathstudy, scaling, memory,
 advise.  Exit codes: 0 success, 2 usage/configuration, 3 capacity,
-4 parse error.  ``QCSIM_MAX_QUBITS`` overrides the state-vector qubit
-budget.
+4 parse error.  ``QCSIM_MAX_QUBITS`` overrides the qubit budget, which
+otherwise follows the memory the process can have.
 """
 from __future__ import annotations
 

@@ -11,23 +11,19 @@ depend only on (seed, sample index), so the winning plan is identical for
 every worker count.  The slice order within a worker and the reduction
 order are fixed, so repeated runs are bit-identical.
 
-Pool workers cap their BLAS at one thread, since otherwise every process
-spins up its own BLAS threads and the oversubscription erases the scaling.
-The cap goes through ``threadpoolctl`` when it is installed, else through
-the thread-count call of the OpenBLAS library loaded in the process.  When
-neither route exists, ``threadpool_limits`` is None, one warning is logged
-and workers keep their default BLAS threads.
+Pool workers cap their BLAS at one thread (through ``blas``), since
+otherwise every process spins up its own BLAS threads and the
+oversubscription erases the scaling.  When no route to the thread count
+exists, ``threadpool_limits`` is None, one warning is logged and workers
+keep their default BLAS threads.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
-import logging
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from . import blas
 from .circuit import Circuit
 from .errors import ConfigError
 from .generators import GeneratorSpec, generate
@@ -41,83 +37,18 @@ from .tensornet import (
     slice_assignments,
 )
 
-_log = logging.getLogger(__name__)
-
-# Lists every file mapped into this process, shared libraries included.
-_MAPS = "/proc/self/maps"
-
-
-def _openblas_calls():
-    """``(set_num_threads, get_num_threads)`` of the OpenBLAS library loaded
-    in this process, or None.
-
-    Builds differ in the symbol names: ``scipy-openblas`` (numpy's wheels)
-    prefixes ``scipy_``, and 64-bit-integer builds append ``64_``.
-    """
-    try:
-        with open(_MAPS) as maps:
-            paths = sorted({
-                line.split()[-1] for line in maps
-                if "openblas" in os.path.basename(line.split()[-1]).lower()
-            })
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                try:
-                    set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                    get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                except AttributeError:
-                    continue
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return set_threads, get_threads
-    return None
-
-
-@functools.cache
-def _blas_limiter():
-    """The call that caps this process's BLAS threads, used as
-    ``limiter(limits=n)``, or None (warned once) when there is no route."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        pass
-    else:
-        return threadpool_limits
-    calls = _openblas_calls()
-    if calls is None:
-        _log.warning(
-            "no BLAS thread control found (threadpoolctl is not installed and "
-            "no loaded OpenBLAS library exports a thread-count call): pool "
-            "workers keep their default BLAS threads and may oversubscribe the CPUs"
-        )
-        return None
-    set_threads = calls[0]
-
-    def openblas_limits(limits: int) -> None:
-        set_threads(limits)
-
-    return openblas_limits
-
 
 def __getattr__(name: str):
-    # Resolved on first use rather than at import, since finding the OpenBLAS
-    # library reads the process's memory map.
+    # The call that caps this process's BLAS threads, used as
+    # ``threadpool_limits(limits=n)``, or None when there is no route;
+    # resolved on first use rather than at import.
     if name == "threadpool_limits":
-        return _blas_limiter()
+        return blas.limit if blas.controls() is not None else None
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _pin_worker_blas() -> None:
-    limiter = _blas_limiter()
-    if limiter is not None:
-        limiter(limits=1)
+    blas.limit(1)
 
 
 @dataclass(frozen=True)
@@ -183,7 +114,7 @@ def _contract_shard(args) -> complex:
 def make_worker_pool(workers: int) -> ProcessPoolExecutor:
     """Process pool whose workers run single-threaded BLAS, where a route to
     cap BLAS threads exists (a warning is logged where none does)."""
-    _blas_limiter()  # resolved here, so that forked workers inherit it
+    blas.controls()  # resolved here, so that forked workers inherit it
     return ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas)
 
 

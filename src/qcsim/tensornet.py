@@ -14,8 +14,9 @@ distribution contracts the open network once to the n-qubit output state
 and squares it.  ``contract`` is the one plan executor: it runs sliced and
 unsliced plans alike, an unsliced plan being one slice with no label fixed.
 Before any contraction allocates, the plan's estimated peak (per slice,
-when sliced) is checked against the state-vector budget
-(``QCSIM_MAX_QUBITS``), and a plan over it raises ``CapacityError``.
+when sliced) is checked against the state vector's budget of ``2^q``
+elements (``q`` from ``QCSIM_MAX_QUBITS``, else from the memory the process
+can have), and a plan over it raises ``CapacityError``.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
 keeps the plan with the lowest estimated FLOP count.  The cost of a pairwise
@@ -392,8 +393,9 @@ def _check_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
 
 def _check_budget(plan: ContractionPlan) -> None:
     """Raise ``CapacityError`` when the plan's estimated peak (per slice, for
-    a sliced plan) exceeds the state-vector budget of ``2^QCSIM_MAX_QUBITS``
-    elements; every contraction entry point calls this before it allocates."""
+    a sliced plan) exceeds the state vector's budget of ``2^q`` elements
+    (``statevector._resolve_max_qubits``); every contraction entry point
+    calls this before it allocates."""
     limit = _resolve_max_qubits(None)
     if plan.est_peak_elements > 1 << limit:
         required = plan.est_peak_elements * 16

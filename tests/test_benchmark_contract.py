@@ -18,7 +18,10 @@ import run  # noqa: E402
 import workloads as wl  # noqa: E402
 
 TINY_JOBS = {
-    "sv-dist": [wl.Job("qft", 5), wl.Job("vqe", 5)],
+    # At n=5 every gate joins the state vector's fused low block; qpe-8
+    # (checked against its closed form) and random-8 (against a TN
+    # amplitude) also cross it and run gates above it.
+    "sv-dist": [wl.Job("qft", 5), wl.Job("vqe", 5), wl.Job("qpe", 8), wl.Job("random", 8)],
     "tn-dist": [wl.Job("qft", 4), wl.Job("random", 4)],
     "tn-sliced": [wl.Job("qft", 8)],
 }

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from qcsim import sliced
+from qcsim import blas, sliced
 from qcsim.errors import CapacityError, ConfigError
 from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.sliced import (
@@ -160,7 +160,7 @@ def _worker_blas_threads() -> int:
     try:
         from threadpoolctl import threadpool_info
     except ImportError:
-        return sliced._openblas_calls()[1]()
+        return blas._openblas_calls()[1]()
     return max(p["num_threads"] for p in threadpool_info() if p["user_api"] == "blas")
 
 
@@ -175,14 +175,14 @@ def no_blas_route(monkeypatch, tmp_path):
     empty_maps = tmp_path / "maps"
     empty_maps.write_text("")
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    monkeypatch.setattr(sliced, "_MAPS", str(empty_maps))
-    sliced._blas_limiter.cache_clear()
+    monkeypatch.setattr(blas, "_MAPS", str(empty_maps))
+    blas.controls.cache_clear()
     yield
-    sliced._blas_limiter.cache_clear()
+    blas.controls.cache_clear()
 
 
 def test_missing_blas_route_warns_once(no_blas_route, caplog):
-    with caplog.at_level(logging.WARNING, logger="qcsim.sliced"):
+    with caplog.at_level(logging.WARNING, logger="qcsim.blas"):
         assert sliced.threadpool_limits is None
         assert sliced.threadpool_limits is None
         sliced._pin_worker_blas()

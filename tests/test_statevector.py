@@ -1,16 +1,19 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcsim import blas, statevector
 from qcsim.circuit import Circuit, GateOp, bitstring_to_index
 from qcsim.errors import CapacityError, UnsupportedOpError
 from qcsim.gates import GateKind
 from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.statevector import (
+    TILE,
     apply_gate,
     distribution,
     init_zero,
@@ -18,6 +21,7 @@ from qcsim.statevector import (
     sample,
     sv_memory_bytes,
 )
+from qcsim.tensornet import ContractionPlan, _check_budget
 
 from conftest import dense_apply, dense_run, draw_gates
 
@@ -32,7 +36,9 @@ def test_init_zero_small():
     assert sv3.amps[0] == 1 and np.count_nonzero(sv3.amps) == 1
 
 
-def test_init_zero_capacity_error_names_bytes():
+def test_init_zero_capacity_error_names_bytes(monkeypatch):
+    monkeypatch.delenv("QCSIM_MAX_QUBITS", raising=False)
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: 8 << 30)
     with pytest.raises(CapacityError) as err:
         init_zero(31, precision="single")
     assert err.value.required_bytes == (1 << 31) * 8
@@ -44,6 +50,45 @@ def test_capacity_env_override(monkeypatch):
     with pytest.raises(CapacityError):
         init_zero(5)
     assert init_zero(4).num_qubits == 4
+
+
+def test_default_budget_follows_available_memory(monkeypatch):
+    monkeypatch.delenv("QCSIM_MAX_QUBITS", raising=False)
+    # 2^10 complex128 elements, and a little less.
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: (1 << 10) * 16 + 15)
+    with pytest.raises(CapacityError) as err:
+        init_zero(11)
+    assert "10-qubit budget" in str(err.value)
+    assert init_zero(10).num_qubits == 10
+    plan = ContractionPlan(num_tensors=1, steps=(), est_flops=1, est_peak_elements=1 << 11)
+    with pytest.raises(CapacityError):
+        _check_budget(plan)
+    _check_budget(replace(plan, est_peak_elements=1 << 10))
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "12")  # the variable still overrides it
+    assert init_zero(11).num_qubits == 11
+    _check_budget(plan)
+    monkeypatch.delenv("QCSIM_MAX_QUBITS")
+    monkeypatch.setattr(statevector, "_available_bytes", lambda: None)
+    assert statevector._resolve_max_qubits(None) == statevector.FALLBACK_MAX_QUBITS
+
+
+@pytest.mark.parametrize("cgroup_max, expected", [
+    (None, 8 << 30),  # no cgroup v2 limit file
+    ("max", 8 << 30),
+    (str(1 << 30), 1 << 30),
+    (str(16 << 30), 8 << 30),
+])
+def test_available_bytes_reads_meminfo_capped_by_cgroup(tmp_path, monkeypatch, cgroup_max, expected):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text(f"MemTotal:  {16 << 20} kB\nMemFree:  1024 kB\nMemAvailable:  {8 << 20} kB\n")
+    monkeypatch.setattr(statevector, "_MEMINFO", str(meminfo))
+    limit = tmp_path / "memory.max"
+    if cgroup_max is not None:
+        limit.write_text(cgroup_max + "\n")
+    monkeypatch.setattr(statevector, "_CGROUP_MEMORY_MAX", str(limit))
+    assert statevector._available_bytes() == expected
+    monkeypatch.setattr(statevector, "_MEMINFO", str(tmp_path / "missing"))
+    assert statevector._available_bytes() is None
 
 
 def test_h_on_single_qubit():
@@ -175,10 +220,13 @@ def test_marginal_distribution():
     assert m2.as_dict(1e-12) == pytest.approx({"0": 0.5, "1": 0.5})
 
 
-# -- apply_gate kernel ------------------------------------------------------
+# -- apply_gate and run kernels ----------------------------------------------
 
 _UNITARY_KINDS = [k for k in GateKind if k is not GateKind.MEASURE]
 _DIAGONAL_KINDS = {GateKind.Z, GateKind.RZ, GateKind.RZZ, GateKind.CP, GateKind.CZ}
+_DENSE_KINDS = {GateKind.H, GateKind.RX, GateKind.RY}
+_DTYPE = {"double": np.complex128, "single": np.complex64}
+_PRECISIONS = [("double", 1e-12), ("single", 1e-6)]
 
 
 def _ops_on(n: int, kind: GateKind) -> list[GateOp]:
@@ -196,28 +244,93 @@ def _random_state(n: int, precision: str, seed: int = 0):
     return sv
 
 
-@pytest.mark.parametrize("precision, atol", [("double", 1e-12), ("single", 1e-6)])
+@pytest.mark.parametrize("precision, atol", _PRECISIONS)
 @pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
 def test_every_gate_at_every_target_matches_dense_oracle(kind, precision, atol):
-    n = 4
-    for seed, op in enumerate(_ops_on(n, kind)):
-        sv = _random_state(n, precision, seed)
-        expected = dense_apply(sv.amps.astype(np.complex128), op, n)
-        apply_gate(sv, op)
-        assert sv.amps.dtype == (np.complex128 if precision == "double" else np.complex64)
-        np.testing.assert_allclose(sv.amps, expected, atol=atol, err_msg=str(op))
+    # n=4: every gate is a low block of its own; n=7: also above it.
+    for n in (4, 7):
+        for seed, op in enumerate(_ops_on(n, kind)):
+            sv = _random_state(n, precision, seed)
+            expected = dense_apply(sv.amps.astype(np.complex128), op, n)
+            apply_gate(sv, op)
+            assert sv.amps.dtype == _DTYPE[precision]
+            np.testing.assert_allclose(sv.amps, expected, atol=atol, err_msg=str(op))
+
+
+def _prepared(n: int) -> Circuit:
+    """A circuit to a state with no zero amplitude, ending in two gates on
+    qubits below 5 that stay pending in ``run``'s low block."""
+    c = Circuit(n)
+    for q in range(n):
+        c.h(q).ry(q, 0.3 + 0.2 * q).rz(q, 0.1 + 0.37 * q)
+    for q in range(n - 1):
+        c.cnot(q, q + 1)
+    return c.rx(1, 0.4).cp(0, 3, 0.9)
+
+
+# Gates after the one under test: two that join the low block, one on a
+# high qubit that leaves it pending.
+_TAIL = (GateOp(GateKind.H, (2,)), GateOp(GateKind.CZ, (1, 4)), GateOp(GateKind.RY, (6,), 0.5))
+
+
+@pytest.mark.parametrize("precision, atol", _PRECISIONS)
+@pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
+def test_run_fuses_every_gate_at_every_target(kind, precision, atol):
+    # On n=7 the low block covers qubits 0-4, so the gate under test is
+    # fused, crosses into the high qubits (a flush) or stays high.
+    n = 7
+    prepared = dense_run(_prepared(n))
+    for op in _ops_on(n, kind):
+        c = _prepared(n)
+        c.ops.extend([op, *_TAIL])
+        expected = prepared
+        for gate in (op, *_TAIL):
+            expected = dense_apply(expected, gate, n)
+        amps = run(c, precision).amps
+        assert amps.dtype == _DTYPE[precision]
+        np.testing.assert_allclose(amps, expected, atol=10 * atol, err_msg=str(op))
 
 
 @st.composite
 def _random_circuits(draw):
-    n = draw(st.integers(1, 6))
-    return draw_gates(draw, Circuit(n), range(n), 20)
+    n = draw(st.integers(1, 8))
+    return draw_gates(draw, Circuit(n), range(n), 24)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_random_circuits())
 def test_random_circuits_match_dense_oracle(c):
     np.testing.assert_allclose(run(c).amps, dense_run(c), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, statevector.FUSED_QUBITS + 1))
+def test_run_on_registers_no_wider_than_the_low_block(n):
+    rng = np.random.default_rng(n)
+    c = Circuit(n)
+    kinds = [k for k in _UNITARY_KINDS if k.arity <= n]
+    for _ in range(16):
+        kind = kinds[rng.integers(len(kinds))]
+        qubits = rng.permutation(n)[: kind.arity].tolist()
+        c.add(kind, *qubits, angle=float(rng.uniform(-3, 3)) if kind.is_parameterized else None)
+    np.testing.assert_allclose(run(c).amps, dense_run(c), atol=1e-12)
+    np.testing.assert_array_equal(run(Circuit(n)).amps, np.eye(1 << n)[0])
+
+
+@pytest.mark.parametrize("n, op", [
+    (7, GateOp(GateKind.H, (9,))),  # high: applied at once
+    (7, GateOp(GateKind.H, (-1,))),  # would be fused into the low block
+    (7, GateOp(GateKind.CNOT, (2, 7))),  # would cross
+    (7, GateOp(GateKind.RZ, (7,), 0.5)),
+    (3, GateOp(GateKind.X, (3,))),  # the low block covers the register
+    (3, GateOp(GateKind.SWAP, (0, -2))),
+])
+def test_out_of_range_qubit_raises_fused_or_not(n, op):
+    c = Circuit(n).h(0)
+    c.ops.append(op)  # bypasses Circuit.add's check
+    with pytest.raises(ValueError, match="outside register"):
+        run(c)
+    with pytest.raises(ValueError, match="outside register"):
+        apply_gate(init_zero(n), op)
 
 
 @pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
@@ -231,14 +344,15 @@ def test_apply_gate_updates_the_state_buffer_in_place(kind):
 
 @pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
 def test_apply_gate_allocates_less_than_two_states(kind):
-    # Diagonal gates only scale blocks in place; the rest hold at most one
-    # state of scaled blocks and scratch.  A tensordot into a new array plus
-    # a contiguous copy of it reads 2.0 states.
+    # Diagonal gates only scale blocks in place (numpy's ufunc buffers, a
+    # quarter state, are all they hold); the dense gates hold the scratch
+    # and the low block's matrix; permutations may also hold numpy's
+    # buffers.
     n = 16
     sv = _random_state(n, "double")
     state_bytes = sv.amps.nbytes
     angle = 0.73 if kind.is_parameterized else None
-    qubit_sets = [(0,), (7,), (15,)] if kind.arity == 1 else [(0, 15), (9, 2), (5, 6)]
+    qubit_sets = [(0,), (3,), (7,), (15,)] if kind.arity == 1 else [(0, 15), (9, 2), (5, 6), (1, 3)]
     for qubits in qubit_sets:
         op = GateOp(kind, qubits, angle)
         tracemalloc.start()
@@ -247,5 +361,66 @@ def test_apply_gate_allocates_less_than_two_states(kind):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        limit = 0.5 if kind in _DIAGONAL_KINDS else 2.0
-        assert peak < limit * state_bytes, (op, peak / state_bytes)
+        if kind in _DENSE_KINDS:
+            limit = TILE * 16 + (1 << 2 * statevector.FUSED_QUBITS) * 16 + 16384
+        else:
+            limit = (0.5 if kind in _DIAGONAL_KINDS else 0.75) * state_bytes
+        assert peak < limit, (op, peak / state_bytes)
+
+
+def test_run_holds_no_state_sized_temporary():
+    # Every gate kind, below, across and above the low block's qubits.
+    n = 16
+    c = _prepared(n)
+    for kind in _UNITARY_KINDS:
+        angle = 0.73 if kind.is_parameterized else None
+        for qubits in ([(1,), (3,), (6,), (15,)] if kind.arity == 1
+                       else [(0, 3), (4, 2), (2, 9), (11, 1), (8, 14), (15, 5)]):
+            c.add(kind, *qubits, angle=angle)
+    tracemalloc.start()
+    try:
+        sv = run(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - sv.amps.nbytes) / sv.amps.nbytes < 0.5
+    np.testing.assert_allclose(sv.norm(), 1.0, atol=1e-12)
+
+
+class _FakeBlas:
+    def __init__(self, threads: int):
+        self.threads = threads
+        self.history = []
+
+    def set(self, n: int) -> None:
+        self.history.append(n)
+        self.threads = n
+
+    def get(self) -> int:
+        return self.threads
+
+
+@pytest.mark.parametrize("caller_threads", [1, 3])
+def test_run_pins_blas_to_one_thread_and_restores_the_callers_count(monkeypatch, caller_threads):
+    fake = _FakeBlas(caller_threads)
+    monkeypatch.setattr(blas, "controls", lambda: (fake.set, fake.get))
+    seen = []
+    flush = statevector._Kernel.flush
+
+    def recording_flush(kernel):
+        seen.append(fake.threads)
+        flush(kernel)
+
+    monkeypatch.setattr(statevector._Kernel, "flush", recording_flush)
+    c = generate(GeneratorSpec(Family.RANDOM, 8, seed=1))
+    np.testing.assert_allclose(run(c).amps, dense_run(c), atol=1e-10)
+    assert seen and set(seen) == {1}
+    assert fake.threads == caller_threads
+    assert fake.history == ([] if caller_threads == 1 else [1, caller_threads])
+    apply_gate(init_zero(8), GateOp(GateKind.H, (6,)))
+    bad = Circuit(8).h(0)
+    bad.ops.append(GateOp(GateKind.H, (8,)))
+    with pytest.raises(ValueError):
+        run(bad)
+    assert fake.threads == caller_threads
+    assert fake.history == ([] if caller_threads == 1 else [1, caller_threads] * 3)
