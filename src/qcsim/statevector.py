@@ -2,8 +2,9 @@
 
 Amplitudes live in a flat array of length ``2^n`` indexed little endian
 (qubit 0 = least-significant bit).  Gates update that array in place and
-are never expanded to a ``2^n x 2^n`` matrix.  Three primitives do the
-work, shared by ``apply_gate`` and ``run``:
+are never expanded to a ``2^n x 2^n`` matrix.  ``apply_gate`` and ``run``
+share one kernel.  It keeps gates pending while they commute with what
+follows, fuses pending gates, and applies them through two primitives:
 
 * Block moves.  A gate views the amplitudes as strided blocks, one block
   per basis value of its target qubits (two for a 1-qubit gate, four for a
@@ -11,24 +12,49 @@ work, shared by ``apply_gate`` and ``run``:
   gate (Z, RZ, CZ, CP, RZZ) only scales blocks in place and a permutation
   with phases (X, Y, CNOT, SWAP) moves them along the permutation's cycles,
   one tile at a time through the scratch.
-* Tiled GEMM.  Any other gate, all of them 1-qubit (H, RX, RY), runs as
-  ``U @ tile`` over tiles of the ``(rows, 2, 2^q)`` view of qubit ``q``.
-  A tile inside one row is a strided ``(2, w)`` matrix that ``matmul``
-  reads in place; a tile of several rows is first copied into the
-  scratch.  The product goes to the scratch and is copied back.  The
-  scratch holds ``TILE`` amplitudes; ``apply_gate`` and ``run`` allocate
-  it once per call, on the first gate that needs it.
+* Tiled GEMM.  A ``d x d`` matrix on the ``log2 d`` qubits from ``lo`` up
+  runs as ``U @ tile`` over tiles of the ``(rows, d, 2^lo)`` view.  A tile
+  inside one row is a strided ``(d, w)`` matrix that ``matmul`` reads in
+  place; a tile of several rows is first copied into the scratch.  The
+  product goes to the scratch and is copied back.  For ``lo = 0`` a tile
+  is a run of rows of ``amps.reshape(-1, d)``, multiplied by ``U.T``.  The
+  scratch holds ``TILE`` amplitudes; ``apply_gate`` and ``run`` allocate it
+  once per call, on the first gate that needs it.
+
+What stays pending:
+
 * The low block.  Gates whose qubits all lie below ``k = min(5, n)`` are
-  fused into one pending ``2^k x 2^k`` matrix.  The matrix is built by
-  applying each such gate to the matrix itself: viewed as a ``2k``-qubit
-  state whose high ``k`` bits index its rows, it takes the gate on qubits
-  shifted by ``k`` through the two primitives above.  It is applied as one
-  tiled GEMM over ``amps.reshape(-1, d)``, ``d`` the smallest power of two
-  (at least 4) that covers the qubits its gates touch.  ``run`` applies it
-  before a gate that touches both a low and a high qubit and at the end of
-  the circuit; gates on high qubits only commute with it.  On qubits below
-  5 a block view runs in pieces of fewer than 32 amplitudes, where numpy's
-  per-piece overhead costs more than the fused GEMM's arithmetic.
+  fused into one ``2^k x 2^k`` matrix.  The matrix is built by applying
+  each such gate to the matrix itself: viewed as a ``2k``-qubit state whose
+  high ``k`` bits index its rows, it takes the gate on qubits shifted by
+  ``k`` through the two primitives above.  It is applied as one GEMM with
+  ``lo = 0``, ``d`` the smallest power of two (at least 4) that covers the
+  low qubits its gates touch.  On qubits below 5 a block view runs in
+  pieces of fewer than 32 amplitudes, where numpy's per-piece overhead
+  costs more than the fused GEMM's arithmetic.
+* Pending items.  Every other gate becomes an item: its 2x2 or 4x4
+  matrix on its qubits.  Items have pairwise disjoint qubits, also
+  disjoint from the low qubits the low block touches, so everything
+  pending commutes and can be applied in any order before a gate that
+  touches it.  A new gate multiplies into the items it touches when their
+  qubits and its own number at most two and the product is 1-qubit or has
+  one nonzero per row: ``CNOT RZ CNOT`` becomes one diagonal item and
+  ``RZ RX RZ`` one 2x2 matrix.  Otherwise the touched items are applied
+  and the gate becomes an item of its own.  So each item runs through the
+  two primitives, and no dense 2-qubit kernel is needed.  A gate on low
+  qubits first applies the items it touches; a gate that crosses from a
+  low qubit the low block touches first applies the low block.
+* Band GEMMs.  When a dense item on a qubit ``q`` is applied (by the rule
+  above it has one qubit), every other pending 1-qubit item in ``q``'s
+  band goes with it.  Bands are aligned groups of 5 qubits from ``k`` up.
+  The items' matrices, with the identity on the band's qubits between
+  them, form one ``2^m x 2^m`` matrix, applied as one tiled GEMM.  A layer
+  of H on 16 qubits is thus four passes over the state: the low block and
+  one GEMM per band.
+
+This is the k-qubit gate fusion of Häner & Steiger (arXiv:1704.01127),
+taken beyond the low qubits.  Runs of diagonal gates over more than two
+qubits, such as the CP cascades of qft and qpe, are not fused.
 
 GEMMs run on one BLAS thread (``blas.single_thread``), and the caller's
 thread count is restored afterwards: at these sizes OpenBLAS's threads cost
@@ -37,6 +63,7 @@ more than they save.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -46,6 +73,8 @@ import numpy as np
 from . import blas
 from .circuit import Circuit, GateOp, index_to_bitstring
 from .errors import CapacityError, UnsupportedOpError
+
+_log = logging.getLogger(__name__)
 
 # Used when the memory the process can have cannot be read.
 FALLBACK_MAX_QUBITS = 30
@@ -59,11 +88,14 @@ _BUDGET_BYTES_PER_ELEMENT = 16
 _DTYPES = {"single": np.complex64, "double": np.complex128}
 _BYTES_PER_AMP = {"single": 8, "double": 16}
 
-FUSED_QUBITS = 5  # the low block covers qubits below min(FUSED_QUBITS, n)
-# Amplitudes of scratch (192 KiB at double precision).  Larger tiles run
-# the GEMMs faster, but with numpy's own ufunc buffers (2 x 8192 elements)
-# this is about the most that keeps ``run``'s temporaries under half a
-# 16-qubit state.
+# The low block covers qubits below min(FUSED_QUBITS, n); a band above it
+# covers FUSED_QUBITS qubits.
+FUSED_QUBITS = 5
+# Amplitudes of scratch (192 KiB at double precision), a multiple of
+# 2^FUSED_QUBITS so that it holds whole rows of the low block's GEMM.
+# Larger tiles run the GEMMs faster, but with numpy's own ufunc buffers
+# (2 x 8192 elements) this is about the most that keeps ``run``'s
+# temporaries under half a 16-qubit state.
 TILE = 12288
 _MIN_GEMM_WIDTH = 4  # a GEMM with inner dimension 2 costs far more per amplitude
 
@@ -181,16 +213,27 @@ def _scaled_into(out: np.ndarray, block: np.ndarray, x) -> None:
         np.multiply(block, x, out=out)
 
 
-def _gemm_1q(amps: np.ndarray, q: int, u: np.ndarray, scratch: np.ndarray) -> None:
-    """Apply the 1-qubit matrix ``u`` on qubit ``q`` as ``u @ tile`` over
-    tiles of the ``(rows, 2, 2^q)`` view, each tile's product going through
-    the scratch.  A tile within one row is already a strided ``(2, w)``
-    matrix; a tile of several rows is first copied into the scratch."""
-    view = np.reshape(amps, (-1, 2, 1 << q), copy=False)
+def _gemm(amps: np.ndarray, lo: int, u: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply the ``d x d`` matrix ``u`` on qubits ``lo`` to ``lo + log2 d - 1``
+    as GEMMs over tiles of the ``(rows, d, 2^lo)`` view, each tile's
+    product going through the scratch.  For ``lo = 0`` a tile is a run of
+    rows of ``amps.reshape(-1, d)``, multiplied by ``u.T``.  Otherwise a
+    tile within one row is already a strided ``(d, w)`` matrix; a tile of
+    several rows is first copied into the scratch."""
+    d = len(u)
+    if lo == 0:
+        rows = amps.reshape(-1, d)
+        out = scratch.reshape(-1, d)
+        for start in range(0, rows.shape[0], out.shape[0]):
+            chunk = rows[start:start + out.shape[0]]
+            np.matmul(chunk, u.T, out=out[: len(chunk)])
+            np.copyto(chunk, out[: len(chunk)])
+        return
+    view = np.reshape(amps, (-1, d, 1 << lo), copy=False)
     width = view.shape[2]
-    size = scratch.size // 4  # amplitudes per basis value of qubit q in a tile
+    size = scratch.size // (2 * d)  # columns of a tile: it and its product fill the scratch
     if width >= size:
-        out = scratch[: 2 * size].reshape(2, size)
+        out = scratch[: d * size].reshape(d, size)
         for row in view:
             for start in range(0, width, size):
                 tile = row[:, start:start + size]
@@ -200,7 +243,7 @@ def _gemm_1q(amps: np.ndarray, q: int, u: np.ndarray, scratch: np.ndarray) -> No
     for start in range(0, view.shape[0], size // width):
         tile = view[start:start + size // width].transpose(1, 0, 2)
         m = tile[0].size
-        ins, outs = scratch[: 2 * m].reshape(2, m), scratch[2 * m: 4 * m].reshape(2, m)
+        ins, outs = scratch[: d * m].reshape(d, m), scratch[d * m: 2 * d * m].reshape(d, m)
         np.copyto(ins.reshape(tile.shape), tile)
         np.matmul(u, ins, out=outs)
         np.copyto(tile, outs.reshape(tile.shape))
@@ -214,16 +257,46 @@ def _check_qubits(op: GateOp, n: int) -> None:
             raise ValueError(f"qubit {q} outside register of width {n}")
 
 
+_I2 = np.eye(2, dtype=np.complex128)
+_SWAPPED = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])  # a 4x4 matrix with its qubits swapped
+
+
+class _Item:
+    """A pending gate: a 2x2 or 4x4 matrix ``u`` on ``qubits``, ``sparse``
+    when it has one nonzero per row (diagonal or permutation)."""
+
+    __slots__ = ("qubits", "u", "sparse")
+
+    def __init__(self, qubits: tuple[int, ...], u: np.ndarray):
+        self.qubits, self.u = qubits, u
+        # Every row of a unitary has a nonzero entry.
+        self.sparse = np.count_nonzero(u) == len(u)
+
+    def on(self, pair: tuple[int, int]) -> np.ndarray:
+        """The matrix as a 4x4 matrix on ``pair``, which holds its qubits."""
+        if len(self.qubits) == 2:
+            return self.u if self.qubits == pair else self.u[_SWAPPED]
+        return np.kron(self.u, _I2) if self.qubits[0] == pair[0] else np.kron(_I2, self.u)
+
+
 class _Kernel:
-    """Applies gates to one state.  Gates on qubits below ``k`` multiply
-    the pending low block; the rest go straight to the state, after a flush
-    of the low block when they also touch a qubit below ``k``."""
+    """Applies gates to one state, keeping them pending where it can.
+
+    Gates on qubits below ``k`` multiply the low block.  Every other gate
+    becomes a pending item, fused with the items it touches when the rule
+    in the module docstring allows.  Items have pairwise disjoint qubits,
+    also disjoint from the low qubits the low block touches (``low_mask``),
+    so everything pending commutes and may be applied in any order before a
+    gate that touches it.  ``moves``, ``gemms`` and ``flushes`` count the
+    passes over the state."""
 
     def __init__(self, sv: StateVector):
         self.sv = sv
         self.k = min(FUSED_QUBITS, sv.num_qubits)
         self.low = None  # pending matrix as a flat 2k-qubit state; None is identity
-        self.top = -1  # highest qubit a pending gate touches
+        self.low_mask = 0  # bit q set when a pending low gate touches qubit q
+        self.items: dict[int, _Item] = {}  # each pending item under each of its qubits
+        self.moves = self.gemms = self.flushes = 0
 
     @functools.cached_property
     def scratch(self) -> np.ndarray:
@@ -231,27 +304,83 @@ class _Kernel:
 
     def apply(self, op: GateOp) -> None:
         _check_qubits(op, self.sv.num_qubits)
-        below = [q < self.k for q in op.qubits]
-        if all(below):
+        gate = _Item(op.qubits, op.matrix())
+        if not gate.sparse and len(gate.qubits) > 1:
+            raise UnsupportedOpError(f"no kernel for a dense {len(gate.qubits)}-qubit gate")
+        touched = []
+        for q in gate.qubits:
+            item = self.items.get(q)
+            if item is not None and item not in touched:
+                touched.append(item)
+        if max(gate.qubits) < self.k:
+            if touched:
+                self._apply_items(touched)
             if self.low is None:
                 self.low = np.eye(1 << self.k, dtype=self.sv.amps.dtype).ravel()
             # The matrix's row index is its high k bits.
-            self._apply(self.low, tuple(q + self.k for q in op.qubits), op.matrix())
-            self.top = max(self.top, *op.qubits)
+            shifted = tuple(q + self.k for q in gate.qubits)
+            if gate.sparse:
+                self._move(_blocks(self.low, shifted), gate.u.tolist())
+            else:
+                _gemm(self.low, shifted[0], gate.u.astype(self.low.dtype, copy=False), self.scratch)
+            for q in gate.qubits:
+                self.low_mask |= 1 << q
             return
-        if any(below):
-            self.flush()
-        self._apply(self.sv.amps, op.qubits, op.matrix())
+        if self.low_mask & (1 << min(gate.qubits)):
+            self.flush_low()
+        if touched:
+            support = set(gate.qubits).union(*(item.qubits for item in touched))
+            if len(support) == 1 or len(support) == 2 and gate.sparse and all(
+                    item.sparse for item in touched):
+                gate = self._fuse(gate, touched)
+            else:
+                self._apply_items(touched)
+        for q in gate.qubits:
+            self.items[q] = gate
 
-    def _apply(self, amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray) -> None:
-        """Apply the gate matrix ``u`` on ``qubits`` of ``amps`` in place."""
-        if np.all(np.count_nonzero(u, axis=1) == 1):
+    @staticmethod
+    def _fuse(gate: _Item, touched: list[_Item]) -> _Item:
+        """``gate`` times the items it touches, as one item on their qubits."""
+        if len(gate.qubits) == 1 and len(touched[0].qubits) == 1:
+            return _Item(gate.qubits, gate.u @ touched[0].u)
+        pair = gate.qubits if len(gate.qubits) == 2 else touched[0].qubits
+        u = gate.on(pair)
+        for item in touched:
+            u = u @ item.on(pair)
+        return _Item(pair, u)
+
+    def _apply_items(self, items) -> None:
+        """Apply those of ``items`` still pending, dense ones first so that
+        each takes the 1-qubit items of its band along."""
+        for item in sorted(items, key=lambda item: item.sparse):
+            if self.items.get(item.qubits[0]) is item:
+                self._apply_item(item)
+
+    def _apply_item(self, item: _Item) -> None:
+        """Apply one pending item to the state: a sparse one by block moves,
+        a dense (1-qubit) one as a GEMM over the pending 1-qubit items of its
+        band, the identity on the band's other qubits."""
+        amps = self.sv.amps
+        for q in item.qubits:
+            del self.items[q]
+        if item.sparse:
             # Python scalars take the state's dtype in numpy arithmetic.
-            self._move(_blocks(amps, qubits), u.tolist())
-        elif len(qubits) == 1:
-            _gemm_1q(amps, qubits[0], u.astype(amps.dtype, copy=False), self.scratch)
-        else:  # every 2-qubit kind is diagonal or a permutation
-            raise UnsupportedOpError(f"no kernel for a dense {len(qubits)}-qubit gate")
+            self._move(_blocks(amps, item.qubits), item.u.tolist())
+            self.moves += 1
+            return
+        q = item.qubits[0]
+        first = q - (q - self.k) % FUSED_QUBITS
+        group = {q: item.u}
+        for j in range(first, min(first + FUSED_QUBITS, self.sv.num_qubits)):
+            other = self.items.get(j)
+            if other is not None and len(other.qubits) == 1:
+                group[j] = self.items.pop(j).u
+        lo, hi = min(group), max(group)
+        u = group[hi]
+        for j in range(hi - 1, lo - 1, -1):
+            u = np.kron(u, group.get(j, _I2))
+        _gemm(amps, lo, u.astype(amps.dtype, copy=False), self.scratch)
+        self.gemms += 1
 
     def _move(self, blocks: list[np.ndarray], u: list[list]) -> None:
         """Output block ``i`` is ``u[i][j] * block_j`` for the one nonzero
@@ -280,32 +409,33 @@ class _Kernel:
                     _scaled_into(blocks[i][ix], blocks[j][ix], u[i][j])
                 _scaled_into(blocks[cycle[-1]][ix], parked, u[cycle[-1]][first])
 
-    def flush(self) -> None:
-        """Apply the pending low block to the state as one tiled GEMM over
+    def flush_low(self) -> None:
+        """Apply the pending low block to the state as one GEMM over
         ``amps.reshape(-1, d)``, then reset it to identity.  Only the
         block's top-left ``d x d`` corner is used: from qubit ``log2 d`` up
         it carries the identity."""
         if self.low is None:
             return
         full = 1 << self.k
-        d = max(2 << self.top, min(_MIN_GEMM_WIDTH, full))
-        transposed = self.low.reshape(full, full)[:d, :d].T
-        rows = self.sv.amps.reshape(-1, d)
-        out = self.scratch.reshape(-1, d)
-        for start in range(0, rows.shape[0], out.shape[0]):
-            chunk = rows[start:start + out.shape[0]]
-            np.matmul(chunk, transposed, out=out[: len(chunk)])
-            np.copyto(chunk, out[: len(chunk)])
-        self.low, self.top = None, -1
+        d = max(1 << self.low_mask.bit_length(), min(_MIN_GEMM_WIDTH, full))
+        _gemm(self.sv.amps, 0, self.low.reshape(full, full)[:d, :d], self.scratch)
+        self.low, self.low_mask = None, 0
+        self.flushes += 1
+
+    def flush(self) -> None:
+        """Apply everything pending to the state."""
+        self.flush_low()
+        self._apply_items(dict.fromkeys(self.items.values()))
 
 
 def apply_gate(sv: StateVector, op: GateOp) -> StateVector:
     """Apply one gate in place and return the same state vector.
 
-    A gate on qubits below ``min(5, n)`` becomes a low block of its own,
-    applied as one GEMM over ``amps.reshape(-1, d)``.  Any other gate moves
-    blocks (diagonal and permutation gates) or runs as a tiled GEMM (H, RX,
-    RY).  Either way the gate allocates at most a scratch of ``TILE``
+    The gate goes through the same kernel as in ``run``, which then applies
+    it at once: a gate on qubits below ``min(5, n)`` as a low block of its
+    own, one GEMM over ``amps.reshape(-1, d)``; any other gate by block
+    moves (diagonal and permutation gates) or as a tiled GEMM (H, RX, RY).
+    Either way the gate allocates at most a scratch of ``TILE``
     amplitudes, and it runs on one BLAS thread, restoring the caller's
     BLAS thread count afterwards.
     """
@@ -321,23 +451,35 @@ def run(
 ) -> StateVector:
     """Evolve |0...0> through every unitary op of ``c`` in order.
 
-    Gates on qubits below ``k = min(5, n)`` are fused into one pending
-    ``2^k x 2^k`` matrix, which is applied as one tiled GEMM before the
-    next gate that touches both a low and a high qubit and at the end;
-    every other gate is applied as it comes, through the block moves or a
-    tiled GEMM.  The whole gate loop runs on one BLAS thread and restores
-    the caller's BLAS thread count afterwards.  Beyond the state itself,
-    ``run`` holds a scratch of ``TILE`` amplitudes and the ``2^k x 2^k``
-    matrix.
+    Gates stay pending as the module docstring describes: gates on qubits
+    below ``k = min(5, n)`` in the ``2^k x 2^k`` low block, every other
+    gate as a 2x2 or 4x4 item, fused with the items that share its qubits
+    while the product stays on two qubits and is 1-qubit or has one
+    nonzero per row.  Pending gates are applied before a gate that touches
+    them and cannot join them, a dense 1-qubit item together with every
+    pending 1-qubit item of its band as one GEMM, and whatever is left at
+    the end.  The whole gate loop runs on one BLAS thread and restores the
+    caller's BLAS thread count afterwards.  Beyond the state itself,
+    ``run`` holds a scratch of ``TILE`` amplitudes, the ``2^k x 2^k``
+    matrix and the items.  It logs one DEBUG record on the
+    ``qcsim.statevector`` logger: the gate count and the passes over the
+    state, split into block moves, GEMMs of items and low-block flushes.
 
     Trailing measurement markers are skipped; sample the result instead.
     """
     sv = init_zero(c.num_qubits, precision, max_qubits)
     kernel = _Kernel(sv)
+    ops = c.unitary_ops
     with blas.single_thread():
-        for op in c.unitary_ops:
+        for op in ops:
             kernel.apply(op)
         kernel.flush()
+    _log.debug(
+        "run %s: %d gates, %d passes over the state "
+        "(%d block moves, %d GEMMs, %d low-block flushes)",
+        c.name or "circuit", len(ops), kernel.moves + kernel.gemms + kernel.flushes,
+        kernel.moves, kernel.gemms, kernel.flushes,
+    )
     return sv
 
 

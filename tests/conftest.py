@@ -20,28 +20,25 @@ from qcsim.gates import GateKind
 
 
 def dense_apply(state: np.ndarray, op, n: int) -> np.ndarray:
-    """Apply one gate by looping over basis indices (little endian)."""
+    """Apply one gate by basis-index arithmetic (little endian): each basis
+    index ``i`` sends ``u[k_out, k_in] * state[i]`` to the index whose gate
+    bits read ``k_out``, ``k_in`` the value of its own gate bits
+    (``qubits[0]`` the most significant).  The scatter runs over every
+    ``i`` at once."""
     u = op.matrix()
-    out = np.zeros_like(state, dtype=np.complex128)
-    qubits = op.qubits
-    if len(qubits) == 1:
-        q = qubits[0]
-        for i in range(1 << n):
-            bit = (i >> q) & 1
-            base = i & ~(1 << q)
-            for new_bit in (0, 1):
-                j = base | (new_bit << q)
-                out[j] += u[new_bit, bit] * state[i]
-    else:
-        qa, qb = qubits
-        for i in range(1 << n):
-            a, b = (i >> qa) & 1, (i >> qb) & 1
-            k_in = 2 * a + b
-            base = i & ~(1 << qa) & ~(1 << qb)
-            for k_out in range(4):
-                na, nb = k_out >> 1, k_out & 1
-                j = base | (na << qa) | (nb << qb)
-                out[j] += u[k_out, k_in] * state[i]
+    i = np.arange(1 << n)
+    k_in = np.zeros_like(i)
+    base = i
+    for q in op.qubits:
+        k_in = 2 * k_in + ((i >> q) & 1)
+        base = base & ~(1 << q)
+    out = np.zeros(1 << n, dtype=np.complex128)
+    m = len(op.qubits)
+    for k_out in range(1 << m):
+        j = base
+        for pos, q in enumerate(op.qubits):
+            j = j | (((k_out >> (m - 1 - pos)) & 1) << q)
+        np.add.at(out, j, u[k_out, k_in] * state)
     return out
 
 

@@ -20,8 +20,11 @@ import workloads as wl  # noqa: E402
 TINY_JOBS = {
     # At n=5 every gate joins the state vector's fused low block; qpe-8
     # (checked against its closed form) and random-8 (against a TN
-    # amplitude) also cross it and run gates above it.
-    "sv-dist": [wl.Job("qft", 5), wl.Job("vqe", 5), wl.Job("qpe", 8), wl.Job("random", 8)],
+    # amplitude) also cross it and run gates above it; vqe-12 and qaoa-12
+    # (TN amplitudes) run band GEMMs over two bands and fuse crossing
+    # items.
+    "sv-dist": [wl.Job("qft", 5), wl.Job("vqe", 5), wl.Job("qpe", 8), wl.Job("random", 8),
+                wl.Job("vqe", 12), wl.Job("qaoa", 12)],
     "tn-dist": [wl.Job("qft", 4), wl.Job("random", 4)],
     "tn-sliced": [wl.Job("qft", 8)],
 }

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import tracemalloc
 from dataclasses import replace
@@ -276,31 +277,79 @@ _TAIL = (GateOp(GateKind.H, (2,)), GateOp(GateKind.CZ, (1, 4)), GateOp(GateKind.
 @pytest.mark.parametrize("precision, atol", _PRECISIONS)
 @pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
 def test_run_fuses_every_gate_at_every_target(kind, precision, atol):
-    # On n=7 the low block covers qubits 0-4, so the gate under test is
-    # fused, crosses into the high qubits (a flush) or stays high.
-    n = 7
-    prepared = dense_run(_prepared(n))
-    for op in _ops_on(n, kind):
-        c = _prepared(n)
-        c.ops.extend([op, *_TAIL])
-        expected = prepared
-        for gate in (op, *_TAIL):
-            expected = dense_apply(expected, gate, n)
-        amps = run(c, precision).amps
-        assert amps.dtype == _DTYPE[precision]
-        np.testing.assert_allclose(amps, expected, atol=10 * atol, err_msg=str(op))
+    # The low block covers qubits 0-4, so the gate under test joins it,
+    # crosses into the high qubits or stays high, where it meets the
+    # pending items of the prepared state and of the tail; on n=12 the
+    # high qubits span two bands (5-9 and 10-11).
+    for n in (7, 12):
+        prepared = dense_run(_prepared(n))
+        for op in _ops_on(n, kind):
+            c = _prepared(n)
+            c.ops.extend([op, *_TAIL])
+            expected = prepared
+            for gate in (op, *_TAIL):
+                expected = dense_apply(expected, gate, n)
+            amps = run(c, precision).amps
+            assert amps.dtype == _DTYPE[precision]
+            np.testing.assert_allclose(amps, expected, atol=10 * atol, err_msg=str(op))
 
 
 @st.composite
 def _random_circuits(draw):
-    n = draw(st.integers(1, 8))
-    return draw_gates(draw, Circuit(n), range(n), 24)
+    # Most gates land on a few qubits, so that pending gates fuse, group
+    # into band GEMMs and cross between the low block and the items; on
+    # n > 10 the high qubits span two bands.
+    n = draw(st.integers(1, 13))
+    c = Circuit(n)
+    hot = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    for _ in range(draw(st.integers(1, 4))):
+        qubits = range(n) if draw(st.booleans()) else {*hot, draw(st.integers(0, n - 1))}
+        draw_gates(draw, c, sorted(qubits), 12)
+    return c
 
 
 @settings(max_examples=60, deadline=None)
 @given(_random_circuits())
 def test_random_circuits_match_dense_oracle(c):
-    np.testing.assert_allclose(run(c).amps, dense_run(c), atol=1e-10)
+    expected = dense_run(c)
+    for precision, atol in [("double", 1e-10), ("single", 1e-5)]:
+        amps = run(c, precision).amps
+        assert amps.dtype == _DTYPE[precision]
+        np.testing.assert_allclose(amps, expected, atol=atol, err_msg=precision)
+
+
+def _cnot_rz_cnot(a: int, b: int) -> list[GateOp]:
+    return [GateOp(GateKind.CNOT, (a, b)), GateOp(GateKind.RZ, (b,), 0.4),
+            GateOp(GateKind.CNOT, (a, b))]
+
+
+# ``passes``: (block moves, GEMMs, low-block flushes) on 16 qubits.
+@pytest.mark.parametrize("ops, passes", [
+    # A layer of H: one low-block flush, one GEMM per band (5-9, 10-14, 15).
+    ([GateOp(GateKind.H, (q,)) for q in range(16)], (0, 3, 1)),
+    # CNOT.RZ.CNOT is one diagonal item on a high pair ...
+    (_cnot_rz_cnot(9, 12), (1, 0, 0)),
+    # ... and on a crossing pair whose low qubit the low block does not
+    # touch, pending or not: the block is applied once, at the end.
+    (_cnot_rz_cnot(2, 12), (1, 0, 0)),
+    ([GateOp(GateKind.H, (0,)), *_cnot_rz_cnot(2, 12)], (1, 0, 1)),
+    # A crossing gate from a qubit the block touches flushes it first.
+    ([GateOp(GateKind.H, (2,)), GateOp(GateKind.CNOT, (2, 12)), GateOp(GateKind.H, (2,))],
+     (1, 0, 2)),
+    # RZ.RX.RZ on one high qubit is one 2x2 matrix.
+    ([GateOp(GateKind.RZ, (7,), 0.3), GateOp(GateKind.RX, (7,), 0.5),
+      GateOp(GateKind.RZ, (7,), 0.7)], (0, 1, 0)),
+], ids=["h-layer", "rzz-high", "rzz-crossing", "rzz-crossing-beside-block",
+        "crossing-flush", "rz-rx-rz"])
+def test_run_logs_its_passes_over_the_state(caplog, ops, passes):
+    c = Circuit(16, name="pattern")
+    c.ops.extend(ops)
+    with caplog.at_level(logging.DEBUG, logger="qcsim.statevector"):
+        amps = run(c).amps
+    [record] = [r for r in caplog.records if r.name == "qcsim.statevector"]
+    name, gates, total, *split = record.args
+    assert (name, gates, tuple(split), total) == ("pattern", len(ops), passes, sum(passes))
+    np.testing.assert_allclose(amps, dense_run(c), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, statevector.FUSED_QUBITS + 1))
