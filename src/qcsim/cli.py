@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import CapacityError, ConfigError, QasmParseError, QcsimError
 from .generators import GeneratorSpec, family_from_name, generate
 from .metrics import MetricsReport, compute_all
 from .qasm import emit_qasm, parse_qasm
-from .sliced import strong_scaling_experiment
 from .tensornet import PathfinderConfig
 
 EXIT_OK = 0
@@ -60,6 +59,17 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_rows(args, rows: list[dict], payload=None) -> int:
+    """The one output rule of the experiment commands: the rows' CSV goes to
+    ``--out`` when given, else to stdout; with ``--json``, stdout gets
+    ``payload`` (the rows when None) as JSON instead."""
+    if args.out or not args.json:
+        _write_out(harness.rows_to_csv(rows), args.out)
+    if args.json:
+        sys.stdout.write(harness.to_json(rows if payload is None else payload) + "\n")
+    return EXIT_OK
 
 
 def _int_list(text: str) -> list[int]:
@@ -142,24 +152,14 @@ def _averaged_report(args) -> MetricsReport:
     for seed in range(args.avg_seeds):
         reports.append(compute_all(generate(replace(spec, seed=seed))))
 
-    def mean_of(name):
-        values = [getattr(r, name) for r in reports]
+    def mean_of(field):
+        values = [getattr(r, field.name) for r in reports]
         if any(v is None for v in values):
             return None
-        return float(np.mean(values))
+        mean = float(np.mean(values))
+        return int(mean) if field.type in (int, "int") else mean
 
-    return MetricsReport(
-        program_communication=mean_of("program_communication"),
-        critical_depth=mean_of("critical_depth"),
-        entanglement_ratio=mean_of("entanglement_ratio"),
-        parallelism=mean_of("parallelism"),
-        entanglement_variance=mean_of("entanglement_variance"),
-        n_gates=int(np.mean([r.n_gates for r in reports])),
-        n_two_qubit=int(np.mean([r.n_two_qubit for r in reports])),
-        depth=int(np.mean([r.depth for r in reports])),
-        n_two_qubit_effective=int(np.mean([r.n_two_qubit_effective for r in reports])),
-        entanglement_ratio_effective=mean_of("entanglement_ratio_effective"),
-    )
+    return MetricsReport(**{f.name: mean_of(f) for f in fields(MetricsReport)})
 
 
 def _cmd_generate(args) -> int:
@@ -186,7 +186,7 @@ def _distribution_payload(dist) -> dict:
 
 def _simulate_one(circuit, backend, args):
     cfg = PathfinderConfig(num_samples=args.samples, seed=args.seed or 0)
-    result, records = harness.bench_simulate(
+    result, rows = harness.bench_simulate(
         circuit, backend, args.precision, cfg, args.warmup, args.reps,
         seed=args.seed or 0)
     if hasattr(result, "probs"):
@@ -195,9 +195,8 @@ def _simulate_one(circuit, backend, args):
         payload = {"bitstring": "0" * circuit.num_qubits,
                    "amplitude_re": result.real, "amplitude_im": result.imag}
     payload["backend"] = backend
-    payload["timing"] = harness.summarize_times(
-        [r.total_time_s for r in records])
-    return payload, records
+    payload["timing"] = harness.summarize_times([r["total_time_s"] for r in rows])
+    return payload, rows
 
 
 def _cmd_simulate(args) -> int:
@@ -206,77 +205,47 @@ def _cmd_simulate(args) -> int:
     if backend == "auto":
         recommendation = advise_circuit(circuit)
         if recommendation.backend is Backend.EITHER:
-            payload_sv, records_sv = _simulate_one(circuit, "sv", args)
-            payload_tn, records_tn = _simulate_one(circuit, "tn", args)
+            payload_sv, rows_sv = _simulate_one(circuit, "sv", args)
+            payload_tn, rows_tn = _simulate_one(circuit, "tn", args)
             faster = "sv" if (payload_sv["timing"]["mean_s"]
                               <= payload_tn["timing"]["mean_s"]) else "tn"
             payload = payload_sv if faster == "sv" else payload_tn
-            records = records_sv + records_tn
+            rows = rows_sv + rows_tn
             payload["auto"] = {"recommended": "either", "ran": ["sv", "tn"],
                                "faster": faster}
         else:
             chosen = "sv" if recommendation.backend is Backend.STATEVECTOR else "tn"
-            payload, records = _simulate_one(circuit, chosen, args)
+            payload, rows = _simulate_one(circuit, chosen, args)
             payload["auto"] = {"recommended": chosen, "ran": [chosen]}
     else:
-        payload, records = _simulate_one(circuit, backend, args)
+        payload, rows = _simulate_one(circuit, backend, args)
     if args.out:
-        _write_out(harness.rows_to_csv([asdict(r) for r in records],
-                                       harness.BENCH_COLUMNS), args.out)
+        _write_out(harness.rows_to_csv(rows), args.out)
     if args.json:
-        payload["bench_records"] = [asdict(r) for r in records]
+        payload["bench_records"] = rows
     sys.stdout.write(harness.to_json(payload) + "\n")
     return EXIT_OK
 
 
 def _cmd_pathstudy(args) -> int:
-    spec = _spec_from_args(args)
     result = harness.pathfinding_study(
-        spec, _int_list(args.samples), repetitions=args.reps,
+        _spec_from_args(args), _int_list(args.samples), repetitions=args.reps,
         seed=args.seed or 0)
-    rows = [asdict(r) for r in result.rows]
-    csv_text = harness.rows_to_csv(rows, harness.PATHSTUDY_COLUMNS)
-    if args.out:
-        _write_out(csv_text, args.out)
-    payload = {
-        "observed_class": result.observed_class,
-        "predicted_class": result.predicted_class,
-        "rows": rows,
-    }
-    sys.stdout.write(harness.to_json(payload) + "\n" if args.json else csv_text)
-    return EXIT_OK
+    return _emit_rows(args, result["rows"], result)
 
 
 def _cmd_scaling(args) -> int:
-    spec = _spec_from_args(args)
-    workers = _int_list(args.workers)
-    if args.slices is not None:
-        for w in workers:
-            if args.slices < w:
-                raise ConfigError(f"slices ({args.slices}) < workers ({w})")
     cfg = PathfinderConfig(num_samples=args.samples, seed=args.seed or 0)
-    runs = strong_scaling_experiment(
-        spec, workers, cfg, repetitions=args.reps, slices=args.slices)
-    rows = [harness.scaling_run_row(r) for r in runs]
-    csv_text = harness.rows_to_csv(rows, harness.SCALING_COLUMNS)
-    if args.out:
-        _write_out(csv_text, args.out)
-    if args.json:
-        sys.stdout.write(harness.to_json(rows) + "\n")
-    elif not args.out:
-        sys.stdout.write(csv_text)
-    return EXIT_OK
+    rows = harness.strong_scaling_experiment(
+        _spec_from_args(args), _int_list(args.workers), cfg,
+        repetitions=args.reps, slices=args.slices)
+    return _emit_rows(args, rows)
 
 
 def _cmd_memory(args) -> int:
     lo, _, hi = args.n_range.partition(":")
     n_values = list(range(int(lo), int(hi or lo) + 1))
-    rows = harness.memory_table(n_values, precision=args.precision)
-    csv_text = harness.rows_to_csv(rows, harness.MEMORY_COLUMNS)
-    if args.out:
-        _write_out(csv_text, args.out)
-    sys.stdout.write(harness.to_json(rows) + "\n" if args.json else csv_text)
-    return EXIT_OK
+    return _emit_rows(args, harness.memory_table(n_values, precision=args.precision))
 
 
 def _cmd_advise(args) -> int:

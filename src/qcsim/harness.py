@@ -3,6 +3,22 @@
 Timing protocol: monotonic clock (``perf_counter``), configurable warmup
 runs excluded from statistics, mean and 90th percentile reported over the
 measured repetitions.
+
+Every experiment returns flat dict rows whose keys are its CSV columns, in
+column order, and ``rows_to_csv`` takes the columns from the first row:
+
+- ``bench_simulate``: one row per measured rep (circuit, family, n,
+  backend, precision, pathfind_samples, pathfind_time_s,
+  contract_or_run_time_s, total_time_s, mem_bytes_est,
+  peak_intermediate_elements, seed, rep).
+- ``pathfinding_study``: one row per sample budget (family, n, samples,
+  pathfind_time_s, best_est_flops, contract_time_mean_s,
+  contract_time_p90_s), under ``"rows"`` beside the observed and predicted
+  pathfinding class.
+- ``strong_scaling_experiment``: one row per worker count and rep
+  (circuit, n, workers, slices, rep, wall_time_s, flops_est, imbalance,
+  result_re, result_im).
+- ``memory_table``: one row per series and size (series, n, bytes).
 """
 from __future__ import annotations
 
@@ -10,52 +26,16 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .circuit import Circuit
 from .errors import ConfigError
 from .generators import Family, GeneratorSpec, generate
-from .sliced import ScalingRun
+from .sliced import WorkerPoolConfig, make_worker_pool, run_sliced
 from . import statevector as sv_backend
 from . import tensornet as tn_backend
 from .tensornet import PathfinderConfig
-
-SCALING_COLUMNS = (
-    "circuit",
-    "n",
-    "workers",
-    "slices",
-    "rep",
-    "wall_time_s",
-    "flops_est",
-    "imbalance",
-    "result_re",
-    "result_im",
-)
-
-MEMORY_COLUMNS = ("series", "n", "bytes")
-
-
-@dataclass
-class BenchRecord:
-    circuit: str
-    family: str
-    n: int
-    backend: str
-    precision: str
-    pathfind_samples: int
-    pathfind_time_s: float
-    contract_or_run_time_s: float
-    total_time_s: float
-    mem_bytes_est: int
-    peak_intermediate_elements: int
-    seed: int
-    rep: int
-
-
-BENCH_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def timed(fn, warmup: int, reps: int) -> tuple[list[float], object]:
@@ -90,14 +70,14 @@ def bench_simulate(
     warmup: int = 3,
     reps: int = 10,
     seed: int = 0,
-) -> tuple[object, list[BenchRecord]]:
+) -> tuple[object, list[dict]]:
     """Run one backend on ``c`` with the timing protocol.
 
-    Returns (distribution-or-amplitude, per-rep records).  The tensor
+    Returns (distribution-or-amplitude, per-rep rows).  The tensor
     network's time splits into one shared pathfinding phase plus per-rep
     contraction; the state vector has no pathfinding component.  The tensor
     network always computes in double precision, whatever ``precision``
-    asks, and its records say so.
+    asks, and its rows say so.
     """
     cfg = cfg or PathfinderConfig()
     n = c.num_qubits
@@ -125,49 +105,31 @@ def bench_simulate(
     else:
         raise ConfigError(f"unknown backend {backend!r}; use sv, tn or auto")
 
-    records = [
-        BenchRecord(
-            circuit=c.name or "circuit",
-            family=c.params.get("family", ""),
-            n=n,
-            backend=backend,
-            precision=precision,
-            pathfind_samples=samples,
-            pathfind_time_s=pathfind_time,
-            contract_or_run_time_s=t,
-            total_time_s=pathfind_time + t,
-            mem_bytes_est=mem,
-            peak_intermediate_elements=peak,
-            seed=seed,
-            rep=rep,
-        )
+    fixed = {
+        "circuit": c.name or "circuit",
+        "family": c.params.get("family", ""),
+        "n": n,
+        "backend": backend,
+        "precision": precision,
+        "pathfind_samples": samples,
+        "pathfind_time_s": pathfind_time,
+    }
+    rows = [
+        {
+            **fixed,
+            "contract_or_run_time_s": t,
+            "total_time_s": pathfind_time + t,
+            "mem_bytes_est": mem,
+            "peak_intermediate_elements": peak,
+            "seed": seed,
+            "rep": rep,
+        }
         for rep, t in enumerate(times)
     ]
-    return result, records
+    return result, rows
 
 
 # -- pathfinding-budget study --------------------------------------------
-
-
-@dataclass
-class PathStudyRow:
-    family: str
-    n: int
-    samples: int
-    pathfind_time_s: float
-    best_est_flops: int
-    contract_time_mean_s: float
-    contract_time_p90_s: float
-
-
-PATHSTUDY_COLUMNS = tuple(f.name for f in fields(PathStudyRow))
-
-
-@dataclass
-class PathStudyResult:
-    rows: list[PathStudyRow]
-    observed_class: str
-    predicted_class: str
 
 
 def pathfinding_study(
@@ -176,13 +138,14 @@ def pathfinding_study(
     repetitions: int = 10,
     warmup: int = 1,
     seed: int = 0,
-    bitstring: str | None = None,
-) -> PathStudyResult:
-    """Pathfinding budget vs contraction time, single-threaded pathfinding.
+) -> dict:
+    """Pathfinding budget vs contraction time, single-threaded pathfinding,
+    on the circuit's all-zeros amplitude.
 
     For each budget the whole sample sweep runs sequentially (the study
     measures total search cost, not wall-clock of a parallel search), then
-    the best plan's contraction is timed with the normal protocol.
+    the best plan's contraction is timed with the normal protocol.  Returns
+    ``{"observed_class", "predicted_class", "rows"}``.
 
     Slope classification: contraction-time improvement of 10% or more from
     the first to the best budget marks the problem unbounded; a FLOP
@@ -194,10 +157,9 @@ def pathfinding_study(
     if not samples_list:
         raise ConfigError("samples_list must name at least one sample budget")
     c = generate(spec)
-    bits = bitstring if bitstring is not None else "0" * c.num_qubits
-    net = tn_backend.build_network(c, bits)
+    net = tn_backend.build_network(c, "0" * c.num_qubits)
 
-    rows: list[PathStudyRow] = []
+    rows: list[dict] = []
     for samples in samples_list:
         cfg = PathfinderConfig(num_samples=samples, seed=seed)
         t0 = time.perf_counter()
@@ -205,22 +167,20 @@ def pathfinding_study(
         pathfind_time = time.perf_counter() - t0
         times, _ = timed(lambda: tn_backend.contract(net, plan), warmup, repetitions)
         stats = summarize_times(times)
-        rows.append(
-            PathStudyRow(
-                family=spec.family.value,
-                n=spec.n,
-                samples=samples,
-                pathfind_time_s=pathfind_time,
-                best_est_flops=plan.est_flops,
-                contract_time_mean_s=stats["mean_s"],
-                contract_time_p90_s=stats["p90_s"],
-            )
-        )
+        rows.append({
+            "family": spec.family.value,
+            "n": spec.n,
+            "samples": samples,
+            "pathfind_time_s": pathfind_time,
+            "best_est_flops": plan.est_flops,
+            "contract_time_mean_s": stats["mean_s"],
+            "contract_time_p90_s": stats["p90_s"],
+        })
 
-    first_flops, last_flops = rows[0].best_est_flops, rows[-1].best_est_flops
+    first_flops, last_flops = rows[0]["best_est_flops"], rows[-1]["best_est_flops"]
     flops_gain = (first_flops - last_flops) / first_flops if first_flops else 0.0
-    first_t = rows[0].contract_time_mean_s
-    best_t = min(r.contract_time_mean_s for r in rows)
+    first_t = rows[0]["contract_time_mean_s"]
+    best_t = min(r["contract_time_mean_s"] for r in rows)
     time_gain = (first_t - best_t) / first_t if first_t > 0 else 0.0
     if time_gain >= 0.10 and flops_gain > 0.0:
         observed = "unbounded"
@@ -228,25 +188,80 @@ def pathfinding_study(
         observed = "pathfinding_bound"
     else:
         observed = "contraction_bound"
-    predicted = advise_circuit(c).pathfinding_class.value
-    return PathStudyResult(rows, observed, predicted)
+    return {
+        "observed_class": observed,
+        "predicted_class": advise_circuit(c).pathfinding_class.value,
+        "rows": rows,
+    }
+
+
+# -- strong scaling of sliced contraction ---------------------------------
+
+
+def strong_scaling_experiment(
+    spec: GeneratorSpec,
+    worker_counts: list[int],
+    cfg: PathfinderConfig | None = None,
+    repetitions: int = 30,
+    slices: int | None = None,
+) -> list[dict]:
+    """``repetitions`` timed sliced runs of the all-zeros amplitude per
+    worker count, after one warmup run on the same pool.
+
+    Slice count defaults to 4x the largest worker count (rounded up to a
+    power of two), so that every worker contracts several slices.  A slice
+    count below a worker count raises ``ConfigError`` before any pool
+    starts.
+    """
+    if repetitions < 1:
+        raise ConfigError("repetitions must be >= 1")
+    if not worker_counts:
+        raise ConfigError("worker_counts must name at least one worker count")
+    most = max(worker_counts)
+    if slices is not None and slices < most:
+        raise ConfigError(f"slices ({slices}) must be >= workers ({most})")
+    cfg = cfg or PathfinderConfig()
+    c = generate(spec)
+    bits = "0" * c.num_qubits
+    if slices is None:
+        slices = 1
+        while slices < 4 * most:
+            slices *= 2
+    rows: list[dict] = []
+    for workers in worker_counts:
+        pool = WorkerPoolConfig(workers=workers)
+        with make_worker_pool(workers) as executor:
+            run_sliced(c, bits, cfg, pool, slices, executor=executor)  # warmup
+            for rep in range(repetitions):
+                run = run_sliced(c, bits, cfg, pool, slices, executor=executor)
+                rows.append({
+                    "circuit": c.name or "circuit",
+                    "n": c.num_qubits,
+                    "workers": workers,
+                    "slices": slices,
+                    "rep": rep,
+                    "wall_time_s": run.wall_time,
+                    "flops_est": run.est_flops,
+                    "imbalance": run.imbalance,
+                    "result_re": run.result.real,
+                    "result_im": run.result.imag,
+                })
+    return rows
 
 
 # -- memory table ---------------------------------------------------------
 
 
-def memory_table(
-    n_values: list[int],
-    families: list[Family] | None = None,
-    precision: str = "single",
-) -> list[dict]:
-    """State-vector and per-family tensor-network byte counts per size."""
-    families = families if families is not None else list(Family)
+def memory_table(n_values: list[int], precision: str = "single") -> list[dict]:
+    """State-vector and per-family tensor-network byte counts per size.  An
+    empty ``n_values`` raises ``ConfigError``."""
+    if not n_values:
+        raise ConfigError("n_values must name at least one qubit count")
     rows: list[dict] = []
     for n in n_values:
         rows.append({"series": "statevector", "n": n,
                      "bytes": sv_backend.sv_memory_bytes(n, precision)})
-        for fam in families:
+        for fam in Family:
             c = generate(GeneratorSpec(fam, n))
             net = tn_backend.circuit_to_network(c)
             rows.append({"series": f"tn-{fam.value}", "n": n,
@@ -257,32 +272,13 @@ def memory_table(
 # -- CSV / JSON emission ---------------------------------------------------
 
 
-def scaling_run_row(run: ScalingRun) -> dict:
-    return {
-        "circuit": run.circuit_name,
-        "n": run.n,
-        "workers": run.workers,
-        "slices": run.slices,
-        "rep": run.rep,
-        "wall_time_s": run.wall_time,
-        "flops_est": run.est_flops,
-        "imbalance": run.imbalance,
-        "result_re": run.result.real,
-        "result_im": run.result.imag,
-    }
-
-
-def rows_to_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
+def rows_to_csv(rows: list[dict]) -> str:
+    """CSV text of a non-empty ``rows``, its columns the first row's keys."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns))
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row[k] for k in columns})
+    writer.writerows(rows)
     return buf.getvalue()
-
-
-def csv_to_rows(text: str) -> list[dict]:
-    return list(csv.DictReader(io.StringIO(text)))
 
 
 def to_json(payload) -> str:

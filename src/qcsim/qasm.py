@@ -15,36 +15,10 @@ from .circuit import Circuit, GateOp
 from .errors import QasmParseError, UnsupportedGateError
 from .gates import GateKind
 
-_GATE_NAMES = {
-    "h": GateKind.H,
-    "x": GateKind.X,
-    "y": GateKind.Y,
-    "z": GateKind.Z,
-    "rx": GateKind.RX,
-    "ry": GateKind.RY,
-    "rz": GateKind.RZ,
-    "rzz": GateKind.RZZ,
-    "cp": GateKind.CP,
-    "cu1": GateKind.CP,
-    "cx": GateKind.CNOT,
-    "cz": GateKind.CZ,
-    "swap": GateKind.SWAP,
-}
-
-_EMIT_NAMES = {
-    GateKind.H: "h",
-    GateKind.X: "x",
-    GateKind.Y: "y",
-    GateKind.Z: "z",
-    GateKind.RX: "rx",
-    GateKind.RY: "ry",
-    GateKind.RZ: "rz",
-    GateKind.RZZ: "rzz",
-    GateKind.CP: "cp",
-    GateKind.CNOT: "cx",
-    GateKind.CZ: "cz",
-    GateKind.SWAP: "swap",
-}
+# Every gate kind under its own name, plus ``cu1``, the older name of ``cp``;
+# ``measure`` has its own statement form.
+_GATE_NAMES = {kind.value: kind for kind in GateKind if kind is not GateKind.MEASURE}
+_GATE_NAMES["cu1"] = GateKind.CP
 
 _TOKEN_RE = re.compile(r"\s*(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?|pi|[()+\-*/])")
 
@@ -256,7 +230,7 @@ def emit_qasm(circuit: Circuit) -> str:
             q = op.qubits[0]
             lines.append(f"measure q[{q}] -> c[{q}];")
             continue
-        name = _EMIT_NAMES[op.kind]
+        name = op.kind.value
         operands = ",".join(f"q[{q}]" for q in op.qubits)
         if op.angle is not None:
             lines.append(f"{name}({op.angle!r}) {operands};")

@@ -5,11 +5,11 @@ standing in for ranks (CPU-bound contraction needs real parallelism):
 pathfinding samples are spread over the pool and the single globally best
 plan is shared; the network is sliced into a power-of-two number of
 sub-networks; every slice has the same cost, so slice ``i`` goes to worker
-``i mod workers``; each worker contracts and locally sums its slices; a
-final reduction adds the per-worker partials.  Per-sample pathfinder seeds
-depend only on (seed, sample index), so the winning plan is identical for
-every worker count.  The slice order within a worker and the reduction
-order are fixed, so repeated runs are bit-identical.
+``i mod workers``; each worker contracts and locally sums its slices, and
+times that; a final reduction adds the per-worker partials.  Per-sample
+pathfinder seeds depend only on (seed, sample index), so the winning plan
+is identical for every worker count.  The slice order within a worker and
+the reduction order are fixed, so repeated runs are bit-identical.
 
 Pool workers cap their BLAS at one thread (through ``blas``), since
 otherwise every process spins up its own BLAS threads and the
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from . import blas
 from .circuit import Circuit
 from .errors import ConfigError
-from .generators import GeneratorSpec, generate
 from . import tensornet as tn
 from .tensornet import (
     ContractionPlan,
@@ -62,21 +61,20 @@ class WorkerPoolConfig:
 
 @dataclass
 class ScalingRun:
-    circuit_name: str
-    n: int
-    workers: int
-    slices: int
-    wall_time: float
-    per_worker_flops: list[float]
+    """What one sliced run measured: the amplitude, the pathfinding and
+    contraction wall times, the plan's estimated FLOPs, and each worker's
+    contraction seconds."""
+
     result: complex
-    pathfind_time: float = 0.0
-    est_flops: int = 0
-    rep: int = 0
+    pathfind_time: float
+    wall_time: float
+    est_flops: int
+    worker_s: list[float]
 
     @property
     def imbalance(self) -> float:
-        lo = min(self.per_worker_flops)
-        hi = max(self.per_worker_flops)
+        """The slowest worker's contraction time over the fastest's."""
+        lo, hi = min(self.worker_s), max(self.worker_s)
         return hi / lo if lo > 0 else float("inf")
 
 
@@ -106,9 +104,11 @@ def _shared_plan(
     return ContractionPlan(len(net.tensors), steps, flops, peak)
 
 
-def _contract_shard(args) -> complex:
+def _contract_shard(args) -> tuple[complex, float]:
     net, plan, assignments = args
-    return complex(tn._contract_slices(net, plan, assignments).data.reshape(()))
+    t0 = time.perf_counter()
+    value = complex(tn._contract_slices(net, plan, assignments).data.reshape(()))
+    return value, time.perf_counter() - t0
 
 
 def make_worker_pool(workers: int) -> ProcessPoolExecutor:
@@ -128,8 +128,9 @@ def run_sliced(
 ) -> ScalingRun:
     """Contract the closed network of ``c``/``bitstring`` in ``slices``
     independent pieces spread over the worker pool; returns the amplitude
-    and the run's accounting.  A plan whose per-slice peak is over the
-    memory budget raises ``CapacityError`` before any slice is dispatched.
+    and what the run measured.  A plan whose largest step (per slice) is
+    over the memory budget raises ``CapacityError`` before any slice is
+    dispatched.
 
     Pass a ``make_worker_pool`` executor to amortize pool startup over
     repeated runs; otherwise a pool is created and torn down per call.
@@ -152,64 +153,23 @@ def run_sliced(
         if slices > 1:
             plan = choose_slices(net, plan, slices)
         pathfind_time = time.perf_counter() - t0
-        tn._check_budget(plan)
+        tn._check_budget(net, plan)
 
         assignments = list(slice_assignments(plan))
-        per_slice = plan.per_slice_flops or plan.est_flops
-        shards = [assignments[w::pool.workers] for w in range(pool.workers)]
-        tasks = [(net, plan, shard) for shard in shards]
+        tasks = [(net, plan, assignments[w::pool.workers]) for w in range(pool.workers)]
 
         t1 = time.perf_counter()
-        total = sum(executor.map(_contract_shard, tasks), 0j)
+        parts = list(executor.map(_contract_shard, tasks))
         wall = time.perf_counter() - t1
     finally:
         if own_executor:
             executor.shutdown()
 
     return ScalingRun(
-        circuit_name=c.name or "circuit",
-        n=c.num_qubits,
-        workers=pool.workers,
-        slices=slices,
-        wall_time=wall,
-        per_worker_flops=[float(per_slice * len(shard)) for shard in shards],
-        result=total,
+        result=sum((value for value, _ in parts), 0j),
         pathfind_time=pathfind_time,
+        wall_time=wall,
         est_flops=plan.est_flops,
+        worker_s=[seconds for _, seconds in parts],
     )
 
-
-def strong_scaling_experiment(
-    spec: GeneratorSpec,
-    worker_counts: list[int],
-    cfg: PathfinderConfig | None = None,
-    repetitions: int = 30,
-    slices: int | None = None,
-    bitstring: str | None = None,
-) -> list[ScalingRun]:
-    """Mean-of-``repetitions`` timing per worker count, one warmup excluded.
-
-    Slice count defaults to 4x the largest worker count (rounded up to a
-    power of two), so that every worker contracts several slices.
-    """
-    if repetitions < 1:
-        raise ConfigError("repetitions must be >= 1")
-    if not worker_counts:
-        raise ConfigError("worker_counts must name at least one worker count")
-    cfg = cfg or PathfinderConfig()
-    c = generate(spec)
-    bits = bitstring if bitstring is not None else "0" * c.num_qubits
-    if slices is None:
-        slices = 1
-        while slices < 4 * max(worker_counts):
-            slices *= 2
-    runs: list[ScalingRun] = []
-    for workers in worker_counts:
-        pool = WorkerPoolConfig(workers=workers)
-        with make_worker_pool(workers) as executor:
-            run_sliced(c, bits, cfg, pool, slices, executor=executor)  # warmup
-            for rep in range(repetitions):
-                run = run_sliced(c, bits, cfg, pool, slices, executor=executor)
-                run.rep = rep
-                runs.append(run)
-    return runs

@@ -501,24 +501,15 @@ class OutputDistribution:
         return index_to_bitstring(int(np.argmax(self.probs)), self.num_qubits)
 
     def marginal(self, qubits: list[int]) -> "OutputDistribution":
-        """Distribution over ``qubits`` (in the given order), others summed out."""
-        n = self.num_qubits
+        """Distribution over ``qubits`` (in the given order), others summed
+        out; ``qubits[0]`` is the least-significant bit of its index."""
+        n, m = self.num_qubits, len(qubits)
         grid = self.probs.reshape([2] * n)
-        # axis n-1-q holds qubit q; put the kept qubits first, then sum.
-        kept_axes = [n - 1 - q for q in qubits]
-        grid = np.moveaxis(grid, kept_axes, range(len(qubits)))
-        flat = grid.reshape(1 << len(qubits), -1).sum(axis=1)
-        # flat index uses qubits[0] as its most-significant bit; reorder to
-        # little-endian over the listed qubits.
-        m = len(qubits)
-        out = np.zeros(1 << m)
-        for i, p in enumerate(flat):
-            idx = 0
-            for pos in range(m):
-                if (i >> (m - 1 - pos)) & 1:
-                    idx |= 1 << pos
-            out[idx] += p
-        return OutputDistribution(m, out)
+        # Axis n-1-q holds qubit q.  Leading with the last listed qubit makes
+        # the flat index little-endian over the listed qubits.
+        kept_axes = [n - 1 - q for q in reversed(qubits)]
+        grid = np.moveaxis(grid, kept_axes, range(m))
+        return OutputDistribution(m, grid.reshape(1 << m, -1).sum(axis=1))
 
 
 def distribution(sv: StateVector) -> OutputDistribution:

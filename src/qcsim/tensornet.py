@@ -13,10 +13,11 @@ An amplitude contracts the closed network to a scalar.  The full output
 distribution contracts the open network once to the n-qubit output state
 and squares it.  ``contract`` is the one plan executor: it runs sliced and
 unsliced plans alike, an unsliced plan being one slice with no label fixed.
-Before any contraction allocates, the plan's estimated peak (per slice,
-when sliced) is checked against the state vector's budget of ``2^q``
-elements (``q`` from ``QCSIM_MAX_QUBITS``, else from the memory the process
-can have), and a plan over it raises ``CapacityError``.
+Before any contraction allocates, the plan's largest step footprint (both
+operands plus the output, per slice when sliced) is checked against the
+state vector's budget of ``2^q`` elements (``q`` from ``QCSIM_MAX_QUBITS``,
+else from the memory the process can have), and a plan over it raises
+``CapacityError``.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
 keeps the plan with the lowest estimated FLOP count.  The cost of a pairwise
@@ -391,17 +392,29 @@ def _check_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
         next_id += 1
 
 
-def _check_budget(plan: ContractionPlan) -> None:
-    """Raise ``CapacityError`` when the plan's estimated peak (per slice, for
-    a sliced plan) exceeds the state vector's budget of ``2^q`` elements
+def _check_budget(net: TensorNetwork, plan: ContractionPlan) -> None:
+    """Raise ``CapacityError`` when the plan's largest step footprint, both
+    operands plus the output (per slice, for a sliced plan), exceeds the
+    state vector's budget of ``2^q`` elements
     (``statevector._resolve_max_qubits``); every contraction entry point
-    calls this before it allocates."""
+    calls this before it allocates.  A plan that does not fit ``net``
+    raises ``StructuralError``."""
+    _check_plan(net, plan)
+    _, sets = _replay_record(
+        plan.num_tensors, plan.steps, _index_sets(net, frozenset(plan.sliced_labels))
+    )
+    size = [1 << len(s) for s in sets]
+    footprint = max(
+        (size[i] + size[j] + size[out]
+         for out, (i, j) in enumerate(plan.steps, plan.num_tensors)),
+        default=max(size, default=1),
+    )
     limit = _resolve_max_qubits(None)
-    if plan.est_peak_elements > 1 << limit:
-        required = plan.est_peak_elements * 16
+    if footprint > 1 << limit:
+        required = footprint * 16
         raise CapacityError(
-            f"contraction plan peaks at {plan.est_peak_elements} elements "
-            f"({required} bytes), over the 2^{limit}-element budget; "
+            f"contraction step holds {footprint} elements ({required} bytes) "
+            f"with its operands, over the 2^{limit}-element budget; "
             f"set {_ENV_MAX_QUBITS} to override",
             required_bytes=required,
         )
@@ -409,16 +422,16 @@ def _check_budget(plan: ContractionPlan) -> None:
 
 def contract(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
     """Execute ``plan``: the sum of its slice contractions, which equals the
-    unsliced result; the value is plan-independent.  A plan whose peak (per
-    slice) is over the memory budget raises ``CapacityError`` before anything
-    is contracted."""
-    _check_budget(plan)
+    unsliced result; the value is plan-independent.  A plan whose largest
+    step (per slice) is over the memory budget raises ``CapacityError``
+    before anything is contracted."""
+    _check_budget(net, plan)
     return _contract_slices(net, plan, slice_assignments(plan))
 
 
 def _contract_slices(net: TensorNetwork, plan: ContractionPlan, assignments) -> Tensor:
-    """Sum of the plan's contractions under each of ``assignments``."""
-    _check_plan(net, plan)
+    """Sum of the plan's contractions under each of ``assignments``; the
+    caller has run ``_check_budget``."""
     total = None
     for assignment in assignments:
         part = _contract_assignment(net, plan, assignment)
@@ -549,8 +562,8 @@ def reconstruct_distribution(
     """Full output distribution from one contraction of the open network.
 
     Circuits wider than ``DEFAULT_ENUMERATION_GUARD`` qubits are refused up
-    front; otherwise ``contract`` checks the plan's peak against the
-    state-vector budget before contracting.
+    front; otherwise ``contract`` checks the plan's largest step against
+    the state-vector budget before contracting.
     """
     n = c.num_qubits
     if n > DEFAULT_ENUMERATION_GUARD:

@@ -126,6 +126,40 @@ def test_pathstudy_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+EXPERIMENT_ARGV = {
+    "pathstudy": ["pathstudy", "--family", "vqe", "--n", "4", "--samples", "1,2",
+                  "--reps", "1"],
+    "scaling": ["scaling", "--family", "vqe", "--n", "4", "--workers", "1",
+                "--slices", "2", "--reps", "1", "--samples", "1"],
+    "memory": ["memory", "--n-range", "3:4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPERIMENT_ARGV))
+def test_experiment_output_rule(tmp_path, capsys, command):
+    # The CSV goes to --out when given, else to stdout; --json puts JSON on
+    # stdout.
+    argv = EXPERIMENT_ARGV[command]
+    out = tmp_path / "rows.csv"
+    code, stdout, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert stdout == ""
+    csv_text = out.read_text()
+    header = csv_text.splitlines()[0].split(",")
+    assert len(csv_text.splitlines()) > 1
+
+    code, stdout, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    rows = payload["rows"] if command == "pathstudy" else payload
+    assert set(rows[0]) == set(header)
+
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert stdout.splitlines()[0].split(",") == header
+    assert len(stdout.splitlines()) == len(csv_text.splitlines())
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--family", "qft", "--n", "4", "--backend", "sv", "--reps", "0"],
     ["simulate", "--family", "qft", "--n", "4", "--backend", "tn", "--reps", "0"],
@@ -136,6 +170,7 @@ def test_pathstudy_csv(tmp_path, capsys):
     ["pathstudy", "--family", "vqe", "--n", "4", "--samples", "1", "--reps", "0"],
     ["pathstudy", "--family", "vqe", "--n", "4", "--samples", "", "--reps", "1"],
     ["scaling", "--family", "qft", "--n", "4", "--workers", "", "--reps", "1"],
+    ["memory", "--n-range", "5:4"],
 ])
 def test_empty_repetitions_or_lists_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -144,9 +179,13 @@ def test_empty_repetitions_or_lists_are_usage_errors(capsys, argv):
     assert err.startswith("qcsim: ") and "must" in err
 
 
-def test_scaling_rejects_bad_slices(capsys):
+def test_scaling_rejects_bad_slices(capsys, monkeypatch):
+    def no_pool(workers):
+        raise AssertionError("started a worker pool")
+
+    monkeypatch.setattr("qcsim.harness.make_worker_pool", no_pool)
     code, _, _ = run_cli(capsys, "scaling", "--family", "qft", "--n", "6",
-                         "--workers", "4", "--slices", "2", "--reps", "1")
+                         "--workers", "1,4", "--slices", "2", "--reps", "1")
     assert code == 2
 
 

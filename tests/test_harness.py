@@ -1,5 +1,6 @@
+import csv
+import io
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from qcsim import harness
 from qcsim.circuit import Circuit
 from qcsim.generators import Family, GeneratorSpec, generate
-from qcsim.sliced import strong_scaling_experiment
 from qcsim.tensornet import PathfinderConfig, build_network, find_path, tn_memory_bytes
 
 CFG = PathfinderConfig(num_samples=2, seed=0)
@@ -27,15 +27,19 @@ PATHSTUDY_HEADER = [
 ]
 
 
+def _read_csv(text: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(text)))
+
+
 def test_bench_simulate_sv_records():
     c = generate(GeneratorSpec(Family.QFT, 5))
     dist, records = harness.bench_simulate(c, "sv", warmup=1, reps=3)
     assert len(records) == 3
     for r in records:
-        assert r.backend == "sv"
-        assert r.total_time_s >= r.contract_or_run_time_s
-        assert r.total_time_s >= r.pathfind_time_s
-        assert r.mem_bytes_est == 32 * 8
+        assert r["backend"] == "sv"
+        assert r["total_time_s"] >= r["contract_or_run_time_s"]
+        assert r["total_time_s"] >= r["pathfind_time_s"]
+        assert r["mem_bytes_est"] == 32 * 8
     # bench default is single precision; norm drift stays inside 1e-6
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -50,12 +54,12 @@ def test_bench_simulate_tn_records():
     net = build_network(c)
     plan = find_path(net, CFG)
     for r in records:
-        assert r.backend == "tn"
-        assert r.pathfind_samples == 2
-        assert r.total_time_s == r.pathfind_time_s + r.contract_or_run_time_s
-        assert r.precision == "double"
-        assert r.peak_intermediate_elements == plan.est_peak_elements
-        assert r.mem_bytes_est == tn_memory_bytes(net, "double")
+        assert r["backend"] == "tn"
+        assert r["pathfind_samples"] == 2
+        assert r["total_time_s"] == r["pathfind_time_s"] + r["contract_or_run_time_s"]
+        assert r["precision"] == "double"
+        assert r["peak_intermediate_elements"] == plan.est_peak_elements
+        assert r["mem_bytes_est"] == tn_memory_bytes(net, "double")
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -64,48 +68,48 @@ def test_bench_simulate_tn_amplitude_past_enumeration_guard():
     amp, records = harness.bench_simulate(c, "tn", cfg=CFG, warmup=0, reps=1)
     assert amp == pytest.approx(2 ** -0.5, abs=1e-12)
     r = records[0]
-    assert r.total_time_s == r.pathfind_time_s + r.contract_or_run_time_s
+    assert r["total_time_s"] == r["pathfind_time_s"] + r["contract_or_run_time_s"]
 
 
 def test_bench_csv_round_trip():
     c = generate(GeneratorSpec(Family.QFT, 4))
     _, records = harness.bench_simulate(c, "sv", warmup=0, reps=2)
-    text = harness.rows_to_csv([asdict(r) for r in records], harness.BENCH_COLUMNS)
+    text = harness.rows_to_csv(records)
     assert text.splitlines()[0] == ",".join(BENCH_HEADER)
-    rows = harness.csv_to_rows(text)
+    rows = _read_csv(text)
     assert len(rows) == len(records)
     for row, rec in zip(rows, records):
-        assert int(row["n"]) == rec.n
-        assert float(row["total_time_s"]) == pytest.approx(rec.total_time_s)
-        assert int(row["rep"]) == rec.rep
+        assert int(row["n"]) == rec["n"]
+        assert float(row["total_time_s"]) == pytest.approx(rec["total_time_s"])
+        assert int(row["rep"]) == rec["rep"]
 
 
 def test_scaling_csv_round_trip():
-    runs = strong_scaling_experiment(
+    runs = harness.strong_scaling_experiment(
         GeneratorSpec(Family.VQE, 6), [1, 2], CFG, repetitions=2, slices=4
     )
-    text = harness.rows_to_csv([harness.scaling_run_row(r) for r in runs],
-                               harness.SCALING_COLUMNS)
+    text = harness.rows_to_csv(runs)
     assert text.splitlines()[0] == ",".join(SCALING_HEADER)
-    rows = harness.csv_to_rows(text)
+    rows = _read_csv(text)
     back = [
         complex(float(r["result_re"]), float(r["result_im"])) for r in rows
     ]
     for value, run in zip(back, runs):
-        assert value == pytest.approx(run.result, abs=1e-12)
+        assert value == pytest.approx(complex(run["result_re"], run["result_im"]), abs=1e-12)
 
 
 def test_pathstudy_rows_and_csv():
     result = harness.pathfinding_study(
         GeneratorSpec(Family.VQE, 6), [1, 2, 4], repetitions=2, warmup=1
     )
-    assert [r.samples for r in result.rows] == [1, 2, 4]
-    flops = [r.best_est_flops for r in result.rows]
+    assert set(result) == {"observed_class", "predicted_class", "rows"}
+    assert [r["samples"] for r in result["rows"]] == [1, 2, 4]
+    flops = [r["best_est_flops"] for r in result["rows"]]
     assert all(a >= b for a, b in zip(flops, flops[1:]))
-    assert result.predicted_class == "pathfinding_bound"
-    text = harness.rows_to_csv([asdict(r) for r in result.rows], harness.PATHSTUDY_COLUMNS)
+    assert result["predicted_class"] == "pathfinding_bound"
+    text = harness.rows_to_csv(result["rows"])
     assert text.splitlines()[0] == ",".join(PATHSTUDY_HEADER)
-    rows = harness.csv_to_rows(text)
+    rows = _read_csv(text)
     assert int(rows[0]["samples"]) == 1
 
 
@@ -113,18 +117,19 @@ def test_pathstudy_single_budget():
     result = harness.pathfinding_study(
         GeneratorSpec(Family.QFT, 5), [1], repetitions=1, warmup=0
     )
-    assert len(result.rows) == 1
+    assert len(result["rows"]) == 1
 
 
 def test_memory_table_values():
-    rows = harness.memory_table([22], families=[Family.HAMILTONIAN])
+    rows = harness.memory_table([22])
+    assert [r["series"] for r in rows] == ["statevector"] + [f"tn-{f.value}" for f in Family]
     sv_row = [r for r in rows if r["series"] == "statevector"][0]
     assert sv_row["bytes"] == 32 * 1024 * 1024
     tn_row = [r for r in rows if r["series"] == "tn-hamiltonian"][0]
     assert tn_row["bytes"] > 0
-    text = harness.rows_to_csv(rows, harness.MEMORY_COLUMNS)
+    text = harness.rows_to_csv(rows)
     assert text.splitlines()[0] == "series,n,bytes"
-    assert harness.csv_to_rows(text)[0]["series"] == "statevector"
+    assert _read_csv(text)[0]["series"] == "statevector"
 
 
 def test_memory_table_linear_in_knobs():

@@ -6,12 +6,8 @@ import pytest
 from qcsim import blas, sliced
 from qcsim.errors import CapacityError, ConfigError
 from qcsim.generators import Family, GeneratorSpec, generate
-from qcsim.sliced import (
-    WorkerPoolConfig,
-    make_worker_pool,
-    run_sliced,
-    strong_scaling_experiment,
-)
+from qcsim.harness import strong_scaling_experiment
+from qcsim.sliced import WorkerPoolConfig, make_worker_pool, run_sliced
 from qcsim.statevector import distribution, run
 from qcsim.tensornet import (
     PathfinderConfig,
@@ -67,39 +63,6 @@ def test_slices_must_be_power_of_two(bell):
         run_sliced(bell, "00", CFG, WorkerPoolConfig(workers=1), slices=3)
 
 
-def test_load_balance_bound():
-    c = generate(GeneratorSpec(Family.QFT, 12))
-    for workers in (2, 4):
-        r = run_sliced(c, "0" * 12, CFG, WorkerPoolConfig(workers=workers),
-                       slices=4 * workers)
-        mean = sum(r.per_worker_flops) / workers
-        assert max(r.per_worker_flops) <= 2 * mean
-
-
-def test_scaling_run_accounting():
-    c = generate(GeneratorSpec(Family.VQE, 8))
-    r = run_sliced(c, "0" * 8, CFG, WorkerPoolConfig(workers=2), slices=4)
-    assert r.workers == 2 and r.slices == 4
-    assert len(r.per_worker_flops) == 2
-    assert r.wall_time > 0
-    assert r.imbalance >= 1.0
-
-
-def test_strong_scaling_experiment_rows():
-    spec = GeneratorSpec(Family.VQE, 8)
-    runs = strong_scaling_experiment(spec, [1, 2], CFG, repetitions=2, slices=4)
-    assert len(runs) == 4
-    assert [r.workers for r in runs] == [1, 1, 2, 2]
-    assert [r.rep for r in runs] == [0, 1, 0, 1]
-    values = {complex(round(r.result.real, 10), round(r.result.imag, 10)) for r in runs}
-    assert len(values) <= 2  # same value up to reduction rounding
-
-
-def test_worker_pool_config_validation():
-    with pytest.raises(ConfigError):
-        WorkerPoolConfig(workers=0)
-
-
 class RecordingExecutor:
     """Runs ``map`` in this process and records every call."""
 
@@ -110,6 +73,41 @@ class RecordingExecutor:
         tasks = list(tasks)
         self.calls.append((fn, tasks))
         return map(fn, tasks)
+
+
+def test_load_balance_bound():
+    c = generate(GeneratorSpec(Family.QFT, 12))
+    for workers in (2, 4):
+        executor = RecordingExecutor()
+        run_sliced(c, "0" * 12, CFG, WorkerPoolConfig(workers=workers),
+                   slices=4 * workers, executor=executor)
+        [tasks] = [tasks for fn, tasks in executor.calls if fn is sliced._contract_shard]
+        assert [len(shard) for _, _, shard in tasks] == [4] * workers
+
+
+def test_scaling_run_accounting():
+    c = generate(GeneratorSpec(Family.VQE, 8))
+    r = run_sliced(c, "0" * 8, CFG, WorkerPoolConfig(workers=2), slices=4)
+    assert len(r.worker_s) == 2
+    assert all(s > 0 for s in r.worker_s)
+    assert r.wall_time > 0
+    assert r.imbalance >= 1.0
+
+
+def test_strong_scaling_experiment_rows():
+    spec = GeneratorSpec(Family.VQE, 8)
+    runs = strong_scaling_experiment(spec, [1, 2], CFG, repetitions=2, slices=4)
+    assert len(runs) == 4
+    assert [r["workers"] for r in runs] == [1, 1, 2, 2]
+    assert [r["rep"] for r in runs] == [0, 1, 0, 1]
+    assert {r["slices"] for r in runs} == {4}
+    values = {complex(round(r["result_re"], 10), round(r["result_im"], 10)) for r in runs}
+    assert len(values) <= 2  # same value up to reduction rounding
+
+
+def test_worker_pool_config_validation():
+    with pytest.raises(ConfigError):
+        WorkerPoolConfig(workers=0)
 
 
 @pytest.fixture(scope="module")
@@ -138,19 +136,23 @@ def test_slices_go_round_robin():
     assert len(assignments) == 8
     [tasks] = [tasks for fn, tasks in executor.calls if fn is sliced._contract_shard]
     assert [shard for _, _, shard in tasks] == [assignments[w::3] for w in range(3)]
-    assert r.per_worker_flops == [3 * plan.per_slice_flops] * 2 + [2 * plan.per_slice_flops]
     assert r.result == pytest.approx(amplitude(c, "0" * 10, CFG), abs=1e-12)
 
 
 def test_run_sliced_checks_the_per_slice_budget(monkeypatch):
-    # qft-10's plan peaks at 2^11 elements unsliced and 2^9 over 8 slices.
+    # qft-10's largest step, operands and output, holds 5120 elements
+    # unsliced, 3072 per slice over 2 slices and 1280 over 8; its peak
+    # tensors alone (2048, 1024, 512) would all fit 2^11.
     c = generate(GeneratorSpec(Family.QFT, 10))
     expected = amplitude(c, "0" * 10, CFG)
-    monkeypatch.setenv("QCSIM_MAX_QUBITS", "9")
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "11")
     executor = RecordingExecutor()
     with pytest.raises(CapacityError) as info:
+        run_sliced(c, "0" * 10, CFG, WorkerPoolConfig(workers=1), slices=1, executor=executor)
+    assert info.value.required_bytes == 5120 * 16
+    with pytest.raises(CapacityError) as info:
         run_sliced(c, "0" * 10, CFG, WorkerPoolConfig(workers=2), slices=2, executor=executor)
-    assert info.value.required_bytes == 1024 * 16
+    assert info.value.required_bytes == 3072 * 16
     assert all(fn is not sliced._contract_shard for fn, _ in executor.calls)
     r = run_sliced(c, "0" * 10, CFG, WorkerPoolConfig(workers=2), slices=8, executor=executor)
     assert r.result == pytest.approx(expected, abs=1e-12)

@@ -22,7 +22,7 @@ from qcsim.statevector import (
     sample,
     sv_memory_bytes,
 )
-from qcsim.tensornet import ContractionPlan, _check_budget
+from qcsim.tensornet import ContractionPlan, Tensor, TensorNetwork, _check_budget
 
 from conftest import dense_apply, dense_run, draw_gates
 
@@ -61,13 +61,17 @@ def test_default_budget_follows_available_memory(monkeypatch):
         init_zero(11)
     assert "10-qubit budget" in str(err.value)
     assert init_zero(10).num_qubits == 10
+    def one_tensor(rank):
+        labels = tuple(f"i{k}" for k in range(rank))
+        return TensorNetwork([Tensor(labels, np.zeros((2,) * rank, complex))], labels)
+
     plan = ContractionPlan(num_tensors=1, steps=(), est_flops=1, est_peak_elements=1 << 11)
     with pytest.raises(CapacityError):
-        _check_budget(plan)
-    _check_budget(replace(plan, est_peak_elements=1 << 10))
+        _check_budget(one_tensor(11), plan)
+    _check_budget(one_tensor(10), replace(plan, est_peak_elements=1 << 10))
     monkeypatch.setenv("QCSIM_MAX_QUBITS", "12")  # the variable still overrides it
     assert init_zero(11).num_qubits == 11
-    _check_budget(plan)
+    _check_budget(one_tensor(11), plan)
     monkeypatch.delenv("QCSIM_MAX_QUBITS")
     monkeypatch.setattr(statevector, "_available_bytes", lambda: None)
     assert statevector._resolve_max_qubits(None) == statevector.FALLBACK_MAX_QUBITS

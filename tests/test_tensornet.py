@@ -301,8 +301,9 @@ def test_reconstruct_matches_statevector_with_idle_qubits(c):
 
 
 def test_distribution_from_plan_refuses_peak_over_budget(monkeypatch):
-    # qft-6's open plan peaks above its 2^6 output; a 7-qubit budget
-    # admits the output but not the plan.
+    # qft-6's open plan peaks above its 2^6 output, at 256 elements, and its
+    # largest step holds 384 with its operands; a 7-qubit budget admits the
+    # output but not the plan.
     c = generate(GeneratorSpec(Family.QFT, 6))
     net = build_network(c)
     plan = find_path(net, PathfinderConfig())
@@ -315,13 +316,14 @@ def test_distribution_from_plan_refuses_peak_over_budget(monkeypatch):
     monkeypatch.setattr(tensornet, "_contract_assignment", no_contraction)
     with pytest.raises(CapacityError) as info:
         distribution_from_plan(net, plan)
-    assert info.value.required_bytes == plan.est_peak_elements * 16
+    assert info.value.required_bytes == 384 * 16
     with pytest.raises(CapacityError):
         reconstruct_distribution(c)
 
 
 def test_amplitude_refuses_peak_over_budget(monkeypatch):
-    # qft-10's closed plan peaks at 2^11 elements.
+    # qft-10's closed plan peaks at 2^11 elements, and its largest step
+    # holds 5120 with its operands.
     c = generate(GeneratorSpec(Family.QFT, 10))
     cfg = PathfinderConfig(num_samples=4, seed=13)
     plan = find_path(build_network(c, "0" * 10), cfg)
@@ -334,21 +336,26 @@ def test_amplitude_refuses_peak_over_budget(monkeypatch):
     monkeypatch.setattr(tensornet, "_contract_assignment", no_contraction)
     with pytest.raises(CapacityError) as info:
         amplitude(c, "0" * 10, cfg)
-    assert info.value.required_bytes == plan.est_peak_elements * 16
-    # Two slices still peak at 2^10 elements per slice.
+    assert info.value.required_bytes == 5120 * 16
+    # Two slices still peak at 2^10 elements per slice (3072 per step).
     net = build_network(c, "0" * 10)
     sliced = choose_slices(net, plan, 2)
     assert sliced.est_peak_elements > 1 << 9
     with pytest.raises(CapacityError) as info:
         contract(net, sliced)
-    assert info.value.required_bytes == sliced.est_peak_elements * 16
+    assert info.value.required_bytes == 3072 * 16
 
 
 def test_distribution_within_budget(monkeypatch):
-    # bv-6's open plan peaks at exactly its 2^6 output: on the budget, not over.
+    # bv-6's open plan peaks at exactly its 2^6 output, but the step that
+    # builds it holds 84 elements with its operands: within 2^7, over 2^6.
     c = generate(GeneratorSpec(Family.BERNSTEIN_VAZIRANI, 6))
-    monkeypatch.setenv("QCSIM_MAX_QUBITS", "6")
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "7")
     _assert_matches_statevector(c)
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "6")
+    with pytest.raises(CapacityError) as info:
+        reconstruct_distribution(c)
+    assert info.value.required_bytes == 84 * 16
 
 
 # -- slicing ----------------------------------------------------------------
