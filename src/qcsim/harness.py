@@ -32,7 +32,7 @@ import numpy as np
 from .circuit import Circuit
 from .errors import ConfigError
 from .generators import Family, GeneratorSpec, generate
-from .sliced import WorkerPoolConfig, make_worker_pool, run_sliced
+from .sliced import WorkerPoolConfig, check_slices, make_worker_pool, run_sliced
 from . import statevector as sv_backend
 from . import tensornet as tn_backend
 from .tensornet import PathfinderConfig
@@ -77,7 +77,9 @@ def bench_simulate(
     network's time splits into one shared pathfinding phase plus per-rep
     contraction; the state vector has no pathfinding component.  The tensor
     network always computes in double precision, whatever ``precision``
-    asks, and its rows say so.
+    asks, and its rows say so.  ``mem_bytes_est`` is the state vector's
+    bytes, or the bytes of the plan's largest contraction step
+    (``tensornet.step_footprint``).
     """
     cfg = cfg or PathfinderConfig()
     n = c.num_qubits
@@ -100,7 +102,7 @@ def bench_simulate(
             work = lambda: complex(tn_backend.contract(net, plan).data.reshape(()))
         times, result = timed(work, warmup, reps)
         samples, peak = cfg.num_samples, plan.est_peak_elements
-        mem = tn_backend.tn_memory_bytes(net, "double")
+        mem = tn_backend.step_footprint(net, plan) * 16  # complex128
         precision = "double"
     else:
         raise ConfigError(f"unknown backend {backend!r}; use sv, tn or auto")
@@ -210,16 +212,16 @@ def strong_scaling_experiment(
 
     Slice count defaults to 4x the largest worker count (rounded up to a
     power of two), so that every worker contracts several slices.  A slice
-    count below a worker count raises ``ConfigError`` before any pool
-    starts.
+    count that is not a power of two or is below a worker count raises
+    ``ConfigError`` before any pool starts.
     """
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
     if not worker_counts:
         raise ConfigError("worker_counts must name at least one worker count")
     most = max(worker_counts)
-    if slices is not None and slices < most:
-        raise ConfigError(f"slices ({slices}) must be >= workers ({most})")
+    if slices is not None:
+        check_slices(slices, most)
     cfg = cfg or PathfinderConfig()
     c = generate(spec)
     bits = "0" * c.num_qubits

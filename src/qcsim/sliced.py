@@ -118,6 +118,15 @@ def make_worker_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas)
 
 
+def check_slices(slices: int, workers: int) -> None:
+    """Raise ``ConfigError`` unless ``slices`` is a power of two and at
+    least ``workers``."""
+    if slices < 1 or slices & (slices - 1):
+        raise ConfigError(f"slices must be a power of two, got {slices}")
+    if slices < workers:
+        raise ConfigError(f"slices ({slices}) must be >= workers ({workers})")
+
+
 def run_sliced(
     c: Circuit,
     bitstring: str,
@@ -137,10 +146,7 @@ def run_sliced(
     """
     cfg = cfg or PathfinderConfig()
     pool = pool or WorkerPoolConfig()
-    if slices < 1 or slices & (slices - 1):
-        raise ConfigError(f"slices must be a power of two, got {slices}")
-    if slices < pool.workers:
-        raise ConfigError(f"slices ({slices}) must be >= workers ({pool.workers})")
+    check_slices(slices, pool.workers)
 
     net = build_network(c, bitstring)
 

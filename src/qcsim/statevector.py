@@ -4,7 +4,7 @@ Amplitudes live in a flat array of length ``2^n`` indexed little endian
 (qubit 0 = least-significant bit).  Gates update that array in place and
 are never expanded to a ``2^n x 2^n`` matrix.  ``apply_gate`` and ``run``
 share one kernel.  It keeps gates pending while they commute with what
-follows, fuses pending gates, and applies them through two primitives:
+follows, fuses pending gates, and applies them through three primitives:
 
 * Block moves.  A gate views the amplitudes as strided blocks, one block
   per basis value of its target qubits (two for a 1-qubit gate, four for a
@@ -20,6 +20,15 @@ follows, fuses pending gates, and applies them through two primitives:
   is a run of rows of ``amps.reshape(-1, d)``, multiplied by ``U.T``.  The
   scratch holds ``TILE`` amplitudes; ``apply_gate`` and ``run`` allocate it
   once per call, on the first gate that needs it.
+* Phase pass.  A product of diagonal gates multiplies each amplitude by
+  ``exp(i (g + sum_q a_q x_q + sum_{p<q} b_pq x_p x_q))``, ``x`` the bits
+  of its index: a global phase, an angle per qubit and one per pair, which
+  is exact for any product of 1- and 2-qubit diagonal gates.  One pass
+  applies it tile by tile: each tile of ``2^13`` amplitudes takes a table
+  of its own bits' phase, held in the scratch and shared by every tile,
+  and factors that the higher bits give its rows and columns.  The tables
+  are built by doubling with complex multiplies, never an ``exp`` per
+  amplitude, and hold ``O(2^(n/2))`` entries beside the scratch.
 
 What stays pending:
 
@@ -27,7 +36,7 @@ What stays pending:
   fused into one ``2^k x 2^k`` matrix.  The matrix is built by applying
   each such gate to the matrix itself: viewed as a ``2k``-qubit state whose
   high ``k`` bits index its rows, it takes the gate on qubits shifted by
-  ``k`` through the two primitives above.  It is applied as one GEMM with
+  ``k`` through block moves and GEMMs.  It is applied as one GEMM with
   ``lo = 0``, ``d`` the smallest power of two (at least 4) that covers the
   low qubits its gates touch.  On qubits below 5 a block view runs in
   pieces of fewer than 32 amplitudes, where numpy's per-piece overhead
@@ -41,7 +50,7 @@ What stays pending:
   one nonzero per row: ``CNOT RZ CNOT`` becomes one diagonal item and
   ``RZ RX RZ`` one 2x2 matrix.  Otherwise the touched items are applied
   and the gate becomes an item of its own.  So each item runs through the
-  two primitives, and no dense 2-qubit kernel is needed.  A gate on low
+  primitives, and no dense 2-qubit kernel is needed.  A gate on low
   qubits first applies the items it touches; a gate that crosses from a
   low qubit the low block touches first applies the low block.
 * Band GEMMs.  When a dense item on a qubit ``q`` is applied (by the rule
@@ -51,10 +60,21 @@ What stays pending:
   them, form one ``2^m x 2^m`` matrix, applied as one tiled GEMM.  A layer
   of H on 16 qubits is thus four passes over the state: the low block and
   one GEMM per band.
+* The phase.  A diagonal item that is due is not applied but parked in
+  one pending phase polynomial, which comes before every other pending
+  gate.  So it is applied first when an item that is not diagonal (for a
+  band GEMM, any of its items) or the low block is applied on a qubit the
+  phase touches; at the end it runs after the items and before the low
+  block.  Parking decides nothing about fusion, so no circuit makes more
+  passes.  A phase of at most ``PHASE_PASS_GATES`` gates runs as its
+  gates' block moves, one each as if nothing was parked; a longer one runs
+  as one phase pass.  QAOA's cost layer (``CNOT RZ CNOT`` on every pair)
+  is thus one pass, where it was a block move per pair above the low
+  block.
 
 This is the k-qubit gate fusion of Häner & Steiger (arXiv:1704.01127),
-taken beyond the low qubits.  Runs of diagonal gates over more than two
-qubits, such as the CP cascades of qft and qpe, are not fused.
+taken beyond the low qubits and, for diagonal gates, to any number of
+qubits.
 
 GEMMs run on one BLAS thread (``blas.single_thread``), and the caller's
 thread count is restored afterwards: at these sizes OpenBLAS's threads cost
@@ -98,6 +118,15 @@ FUSED_QUBITS = 5
 # temporaries under half a 16-qubit state.
 TILE = 12288
 _MIN_GEMM_WIDTH = 4  # a GEMM with inner dimension 2 costs far more per amplitude
+# A pending phase of more diagonal gates than this runs as one phase pass;
+# one of at most this many runs as its gates' block moves.  At 16 and 18
+# qubits a pass costs about as much as 13 block moves of CP or CZ, which
+# scale a quarter of the state, and 2-4 of RZZ or 3-8 of RZ, which scale
+# all of it (best of 25, 2-vCPU VM): 8 lies between.
+PHASE_PASS_GATES = 8
+# A phase pass's tile covers the qubits below this: 2^13 amplitudes, whose
+# phase table fits the scratch.
+_PHASE_TILE_QUBITS = TILE.bit_length() - 1
 
 
 def _available_bytes() -> int | None:
@@ -249,6 +278,91 @@ def _gemm(amps: np.ndarray, lo: int, u: np.ndarray, scratch: np.ndarray) -> None
         np.copyto(tile, outs.reshape(tile.shape))
 
 
+def _product_table(out: np.ndarray, factors) -> None:
+    """Fill ``out[x]``, for ``x`` below ``2^m``, with ``out[0]`` times
+    ``factors[j]`` for every set bit ``j`` of ``x``, by doubling; ``m`` is
+    ``len(factors)`` and ``out`` has ``2^m`` rows."""
+    for j, factor in enumerate(factors):
+        w = 1 << j
+        np.multiply(out[:w], factor, out=out[w:2 * w])
+
+
+def _phase_table(out: np.ndarray, ea: np.ndarray, w: np.ndarray) -> None:
+    """Fill the flat ``out`` of ``2^m`` entries, ``m = len(ea)``, with the
+    phase of each basis state of ``m`` qubits: ``out[0]`` times ``ea[j]``
+    for every set bit ``j`` and ``w[i, j]`` for every pair of set bits.
+    Bit ``j`` doubles the table, and the factor it brings depends on the
+    bits below it, so those factors double along: ``lin[x, k]`` is bit
+    ``k``'s factor when the bits below it read ``x``.  ``lin`` holds
+    ``2^(m-1) x m`` entries, so this is for tables of a few qubits."""
+    m = len(ea)
+    lin = np.empty((max(len(out) // 2, 1), m), dtype=np.complex128)
+    lin[0] = ea
+    for j in range(m):
+        size = 1 << j
+        np.multiply(out[:size], lin[:size, j], out=out[size:2 * size])
+        if j + 1 < m:
+            np.multiply(lin[:size], w[j], out=lin[size:2 * size])
+
+
+def _phase_pass(amps: np.ndarray, g: float, a: np.ndarray, b: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """Multiply each amplitude by ``exp(i (g + a.x + x.b.x))``, ``x`` the bits
+    of its index and ``b`` strictly upper triangular, in one tiled pass.
+
+    A tile is ``2^t`` amplitudes, ``t = min(n, 13)``, viewed as rows over
+    its high bits ``M`` and columns over its low bits ``L``.  Its bits'
+    own phase is one table in the scratch, the same for every tile: row 0
+    holds the phase of ``L``, each bit of ``M`` doubles the rows with a
+    factor per column, and the pairs within ``M`` add a factor per row.
+    The bits above the tile add a factor per row and one per column, so a
+    tile takes three broadcast multiplies in place.  Those factors are
+    built for a group of ``2^ui`` tiles at once (``2^ui x 2^|M|`` entries,
+    at most four times ``2^ceil(n/2)``), one group per value of the bits
+    above.  Every table is built by complex multiplies from ``exp`` of the
+    ``n + n^2`` angles."""
+    n = amps.size.bit_length() - 1
+    t = min(n, _PHASE_TILE_QUBITS)
+    low = t // 2  # L: tile bits below ``low``; M: the rest
+    ea, w = np.exp(1j * a), np.exp(1j * (b + b.T))
+    own = scratch[: 1 << t].reshape(1 << (t - low), 1 << low)
+    own[0, 0] = 1
+    _phase_table(own[0], ea[:low], w[:low, :low])
+    # m_factors[x, p]: the factor of M's bit p when L reads x.
+    m_factors = np.empty((1 << low, t - low), dtype=np.complex128)
+    m_factors[0] = ea[low:t]
+    _product_table(m_factors, w[:low, low:t])
+    _product_table(own, m_factors.T)
+    pairs = np.ones(len(own), dtype=np.complex128)
+    _phase_table(pairs, np.ones(t - low), w[low:t, low:t])
+    own *= pairs[:, None]
+
+    ui = min(n - t, max(0, (n + 1) // 2 + 2 - (t - low)))
+    inner = range(t, t + ui)
+    view = amps.reshape(-1, 1 << ui, 1 << (t - low), 1 << low)
+    c = np.empty(1 << ui, dtype=np.complex128)
+    factors = np.empty((1 << ui, t), dtype=np.complex128)  # [i, p]: tile bit p's factor in tile i
+    by_m = np.empty((1 << (t - low), 1 << ui), dtype=amps.dtype)
+    by_l = np.empty((1 << low, 1 << ui), dtype=amps.dtype)
+    for o, group in enumerate(view):
+        bits = [q for q in range(t + ui, n) if o >> (q - t - ui) & 1]
+        # The bits above the group: their phase, and their factor on each
+        # lower bit.
+        outer = np.prod(w[: t + ui, bits], axis=1)
+        c[0] = np.exp(1j * (g + a[bits].sum() + b[np.ix_(bits, bits)].sum()))
+        _phase_table(c, ea[inner] * outer[t:], w[t:t + ui, t:t + ui])
+        factors[0] = outer[:t]
+        _product_table(factors, w[inner, :t])
+        by_m[0] = c
+        _product_table(by_m, factors.T[low:])
+        by_l[0] = 1
+        _product_table(by_l, factors.T[:low])
+        for i, tile in enumerate(group):
+            tile *= own
+            tile *= by_m[:, i, None]
+            tile *= by_l[:, i]
+
+
 def _check_qubits(op: GateOp, n: int) -> None:
     if op.is_measure:
         raise UnsupportedOpError("measurement is handled by sampling, not apply_gate")
@@ -263,20 +377,55 @@ _SWAPPED = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])  # a 4x4 matrix with its qubits sw
 
 class _Item:
     """A pending gate: a 2x2 or 4x4 matrix ``u`` on ``qubits``, ``sparse``
-    when it has one nonzero per row (diagonal or permutation)."""
+    when it has one nonzero per row (diagonal or permutation), ``diagonal``
+    when those are its diagonal."""
 
-    __slots__ = ("qubits", "u", "sparse")
+    __slots__ = ("qubits", "u", "sparse", "diagonal")
 
     def __init__(self, qubits: tuple[int, ...], u: np.ndarray):
         self.qubits, self.u = qubits, u
         # Every row of a unitary has a nonzero entry.
         self.sparse = np.count_nonzero(u) == len(u)
+        self.diagonal = self.sparse and np.count_nonzero(np.diagonal(u)) == len(u)
 
     def on(self, pair: tuple[int, int]) -> np.ndarray:
         """The matrix as a 4x4 matrix on ``pair``, which holds its qubits."""
         if len(self.qubits) == 2:
             return self.u if self.qubits == pair else self.u[_SWAPPED]
         return np.kron(self.u, _I2) if self.qubits[0] == pair[0] else np.kron(_I2, self.u)
+
+
+class _Phase:
+    """Diagonal gates parked for later: the phase
+    ``exp(i (g + sum_q a[q] x_q + sum_{p<q} b[p, q] x_p x_q))`` of the basis
+    state whose bits are ``x``, which is exact for any product of 1- and
+    2-qubit diagonal gates.  ``mask`` has bit ``q`` set when a gate
+    touches qubit ``q``; ``gates`` keeps the gates while there are at most
+    ``PHASE_PASS_GATES`` of them."""
+
+    __slots__ = ("g", "a", "b", "mask", "count", "gates")
+
+    def __init__(self, n: int):
+        self.g, self.a, self.b = 0.0, np.zeros(n), np.zeros((n, n))
+        self.mask = self.count = 0
+        self.gates: list[_Item] = []
+
+    def add(self, item: _Item) -> None:
+        phi = np.angle(np.diagonal(item.u)).tolist()
+        self.g += phi[0]
+        if len(item.qubits) == 1:
+            self.a[item.qubits[0]] += phi[1] - phi[0]
+        else:
+            # Row 2 x_p + x_q of a 2-qubit matrix on (p, q).
+            p, q = item.qubits
+            self.a[q] += phi[1] - phi[0]
+            self.a[p] += phi[2] - phi[0]
+            self.b[min(p, q), max(p, q)] += phi[3] - phi[2] - phi[1] + phi[0]
+        for q in item.qubits:
+            self.mask |= 1 << q
+        self.count += 1
+        if self.count <= PHASE_PASS_GATES:
+            self.gates.append(item)
 
 
 class _Kernel:
@@ -286,9 +435,13 @@ class _Kernel:
     becomes a pending item, fused with the items it touches when the rule
     in the module docstring allows.  Items have pairwise disjoint qubits,
     also disjoint from the low qubits the low block touches (``low_mask``),
-    so everything pending commutes and may be applied in any order before a
-    gate that touches it.  ``moves``, ``gemms`` and ``flushes`` count the
-    passes over the state."""
+    so the items and the low block commute and may be applied in any order
+    before a gate that touches them.  A diagonal item that is due is parked
+    in the phase instead, which comes before every other pending gate: it
+    is applied before an item or the low block that meets its qubits, and
+    whatever is pending at the end runs as the items, the phase, then the
+    low block.  ``moves``, ``gemms``, ``flushes`` and ``phase_passes``
+    count the passes over the state."""
 
     def __init__(self, sv: StateVector):
         self.sv = sv
@@ -296,7 +449,8 @@ class _Kernel:
         self.low = None  # pending matrix as a flat 2k-qubit state; None is identity
         self.low_mask = 0  # bit q set when a pending low gate touches qubit q
         self.items: dict[int, _Item] = {}  # each pending item under each of its qubits
-        self.moves = self.gemms = self.flushes = 0
+        self.phase: _Phase | None = None  # parked diagonal gates; None is identity
+        self.moves = self.gemms = self.flushes = self.phase_passes = 0
 
     @functools.cached_property
     def scratch(self) -> np.ndarray:
@@ -357,13 +511,20 @@ class _Kernel:
                 self._apply_item(item)
 
     def _apply_item(self, item: _Item) -> None:
-        """Apply one pending item to the state: a sparse one by block moves,
-        a dense (1-qubit) one as a GEMM over the pending 1-qubit items of its
-        band, the identity on the band's other qubits."""
+        """Apply one pending item: park a diagonal one in the phase, move a
+        permutation's blocks, and run a dense (1-qubit) one as a GEMM over
+        the pending 1-qubit items of its band, the identity on the band's
+        other qubits.  The phase goes first when it meets the qubits."""
         amps = self.sv.amps
         for q in item.qubits:
             del self.items[q]
+        if item.diagonal:
+            if self.phase is None:
+                self.phase = _Phase(self.sv.num_qubits)
+            self.phase.add(item)
+            return
         if item.sparse:
+            self._apply_phase_on(item.qubits)
             # Python scalars take the state's dtype in numpy arithmetic.
             self._move(_blocks(amps, item.qubits), item.u.tolist())
             self.moves += 1
@@ -375,6 +536,7 @@ class _Kernel:
             other = self.items.get(j)
             if other is not None and len(other.qubits) == 1:
                 group[j] = self.items.pop(j).u
+        self._apply_phase_on(group)
         lo, hi = min(group), max(group)
         u = group[hi]
         for j in range(hi - 1, lo - 1, -1):
@@ -409,13 +571,37 @@ class _Kernel:
                     _scaled_into(blocks[i][ix], blocks[j][ix], u[i][j])
                 _scaled_into(blocks[cycle[-1]][ix], parked, u[cycle[-1]][first])
 
+    def _apply_phase_on(self, qubits) -> None:
+        """Apply the phase if it touches any of ``qubits``."""
+        if self.phase is not None and any(self.phase.mask >> q & 1 for q in qubits):
+            self._apply_phase()
+
+    def _apply_phase(self) -> None:
+        """Apply the parked diagonal gates, then reset the phase to identity:
+        up to ``PHASE_PASS_GATES`` gates as their own block moves, more as
+        one phase pass."""
+        phase, self.phase = self.phase, None
+        if phase is None:
+            return
+        amps = self.sv.amps
+        if phase.count <= PHASE_PASS_GATES:
+            for item in phase.gates:
+                self._move(_blocks(amps, item.qubits), item.u.tolist())
+            self.moves += phase.count
+        else:
+            _phase_pass(amps, phase.g, phase.a, phase.b, self.scratch)
+            self.phase_passes += 1
+
     def flush_low(self) -> None:
         """Apply the pending low block to the state as one GEMM over
         ``amps.reshape(-1, d)``, then reset it to identity.  Only the
         block's top-left ``d x d`` corner is used: from qubit ``log2 d`` up
-        it carries the identity."""
+        it carries the identity.  The phase goes first when it meets the
+        block's qubits."""
         if self.low is None:
             return
+        if self.phase is not None and self.phase.mask & self.low_mask:
+            self._apply_phase()
         full = 1 << self.k
         d = max(1 << self.low_mask.bit_length(), min(_MIN_GEMM_WIDTH, full))
         _gemm(self.sv.amps, 0, self.low.reshape(full, full)[:d, :d], self.scratch)
@@ -423,9 +609,11 @@ class _Kernel:
         self.flushes += 1
 
     def flush(self) -> None:
-        """Apply everything pending to the state."""
-        self.flush_low()
+        """Apply everything pending to the state: the items, the phase
+        (which now holds the diagonal ones), then the low block."""
         self._apply_items(dict.fromkeys(self.items.values()))
+        self._apply_phase()
+        self.flush_low()
 
 
 def apply_gate(sv: StateVector, op: GateOp) -> StateVector:
@@ -458,12 +646,18 @@ def run(
     nonzero per row.  Pending gates are applied before a gate that touches
     them and cannot join them, a dense 1-qubit item together with every
     pending 1-qubit item of its band as one GEMM, and whatever is left at
-    the end.  The whole gate loop runs on one BLAS thread and restores the
-    caller's BLAS thread count afterwards.  Beyond the state itself,
-    ``run`` holds a scratch of ``TILE`` amplitudes, the ``2^k x 2^k``
-    matrix and the items.  It logs one DEBUG record on the
-    ``qcsim.statevector`` logger: the gate count and the passes over the
-    state, split into block moves, GEMMs of items and low-block flushes.
+    the end.  A diagonal item is parked in the pending phase instead,
+    which is applied before any other pending gate that meets its qubits
+    and at the end after the items and before the low block: as its gates'
+    block moves when it holds at most ``PHASE_PASS_GATES`` gates, else as
+    one phase pass.  The whole gate loop runs on one BLAS thread and
+    restores the caller's BLAS thread count afterwards.  Beyond the state
+    itself, ``run`` holds a scratch of ``TILE`` amplitudes, the
+    ``2^k x 2^k`` matrix, the items, the phase's ``n^2`` angles and, during
+    a phase pass, tables of ``O(2^(n/2))`` entries.  It logs one DEBUG
+    record on the ``qcsim.statevector`` logger: the gate count and the
+    passes over the state, split into block moves, GEMMs of items,
+    low-block flushes and phase passes.
 
     Trailing measurement markers are skipped; sample the result instead.
     """
@@ -476,9 +670,10 @@ def run(
         kernel.flush()
     _log.debug(
         "run %s: %d gates, %d passes over the state "
-        "(%d block moves, %d GEMMs, %d low-block flushes)",
-        c.name or "circuit", len(ops), kernel.moves + kernel.gemms + kernel.flushes,
-        kernel.moves, kernel.gemms, kernel.flushes,
+        "(%d block moves, %d GEMMs, %d low-block flushes, %d phase passes)",
+        c.name or "circuit", len(ops),
+        kernel.moves + kernel.gemms + kernel.flushes + kernel.phase_passes,
+        kernel.moves, kernel.gemms, kernel.flushes, kernel.phase_passes,
     )
     return sv
 

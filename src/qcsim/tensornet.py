@@ -392,23 +392,30 @@ def _check_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
         next_id += 1
 
 
-def _check_budget(net: TensorNetwork, plan: ContractionPlan) -> None:
-    """Raise ``CapacityError`` when the plan's largest step footprint, both
-    operands plus the output (per slice, for a sliced plan), exceeds the
-    state vector's budget of ``2^q`` elements
-    (``statevector._resolve_max_qubits``); every contraction entry point
-    calls this before it allocates.  A plan that does not fit ``net``
-    raises ``StructuralError``."""
+def step_footprint(net: TensorNetwork, plan: ContractionPlan) -> int:
+    """Elements the plan's largest step holds at once: both operands plus
+    the output, per slice for a sliced plan; the largest input tensor for
+    a plan without steps.  A plan that does not fit ``net`` raises
+    ``StructuralError``."""
     _check_plan(net, plan)
     _, sets = _replay_record(
         plan.num_tensors, plan.steps, _index_sets(net, frozenset(plan.sliced_labels))
     )
     size = [1 << len(s) for s in sets]
-    footprint = max(
+    return max(
         (size[i] + size[j] + size[out]
          for out, (i, j) in enumerate(plan.steps, plan.num_tensors)),
         default=max(size, default=1),
     )
+
+
+def _check_budget(net: TensorNetwork, plan: ContractionPlan) -> None:
+    """Raise ``CapacityError`` when the plan's ``step_footprint`` exceeds
+    the state vector's budget of ``2^q`` elements
+    (``statevector._resolve_max_qubits``); every contraction entry point
+    calls this before it allocates.  A plan that does not fit ``net``
+    raises ``StructuralError``."""
+    footprint = step_footprint(net, plan)
     limit = _resolve_max_qubits(None)
     if footprint > 1 << limit:
         required = footprint * 16

@@ -187,6 +187,9 @@ def test_scaling_rejects_bad_slices(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "scaling", "--family", "qft", "--n", "6",
                          "--workers", "1,4", "--slices", "2", "--reps", "1")
     assert code == 2
+    code, _, err = run_cli(capsys, "scaling", "--family", "qft", "--n", "6",
+                           "--workers", "1", "--slices", "3", "--reps", "1")
+    assert code == 2 and "power of two" in err
 
 
 def test_scaling_single_worker(tmp_path, capsys):

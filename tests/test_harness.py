@@ -8,7 +8,7 @@ import pytest
 from qcsim import harness
 from qcsim.circuit import Circuit
 from qcsim.generators import Family, GeneratorSpec, generate
-from qcsim.tensornet import PathfinderConfig, build_network, find_path, tn_memory_bytes
+from qcsim.tensornet import PathfinderConfig, build_network, find_path, step_footprint
 
 CFG = PathfinderConfig(num_samples=2, seed=0)
 
@@ -59,8 +59,18 @@ def test_bench_simulate_tn_records():
         assert r["total_time_s"] == r["pathfind_time_s"] + r["contract_or_run_time_s"]
         assert r["precision"] == "double"
         assert r["peak_intermediate_elements"] == plan.est_peak_elements
-        assert r["mem_bytes_est"] == tn_memory_bytes(net, "double")
+        assert r["mem_bytes_est"] == step_footprint(net, plan) * 16
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_bench_simulate_tn_memory_is_the_largest_step():
+    # qft-12's input tensors hold 17760 bytes; its largest contraction
+    # step holds 331776 elements: two operands and the output.
+    c = generate(GeneratorSpec(Family.QFT, 12))
+    _, records = harness.bench_simulate(c, "tn", warmup=0, reps=1)
+    net = build_network(c)
+    plan = find_path(net, PathfinderConfig())
+    assert records[0]["mem_bytes_est"] == step_footprint(net, plan) * 16 == 5308416
 
 
 def test_bench_simulate_tn_amplitude_past_enumeration_guard():

@@ -322,29 +322,122 @@ def test_random_circuits_match_dense_oracle(c):
         np.testing.assert_allclose(amps, expected, atol=atol, err_msg=precision)
 
 
+_DIAGONAL_RUN_KINDS = [GateKind.CP, GateKind.CZ, GateKind.RZZ, GateKind.RZ, GateKind.Z]
+_BREAKER_KINDS = [GateKind.H, GateKind.RX, GateKind.CNOT, GateKind.SWAP]
+
+
+@st.composite
+def _diagonal_heavy_circuits(draw):
+    # Runs of diagonal gates on any qubits, so that they are parked across
+    # bands and beside or across the low block, often more of them than
+    # PHASE_PASS_GATES; each run is broken by a gate that meets the phase.
+    # Registers of up to 5 qubits, all low block, are left to the tests
+    # above.
+    n = draw(st.integers(6, 13))
+    c = Circuit(n)
+    for q in range(n):
+        c.h(q)
+    angles = st.floats(-math.pi, math.pi)
+    for _ in range(draw(st.integers(1, 3))):
+        for kinds, fewest, most in ((_DIAGONAL_RUN_KINDS, 12, 32), (_BREAKER_KINDS, 0, 2)):
+            kinds = [k for k in kinds if k.arity <= n]
+            for _ in range(draw(st.integers(fewest, most))):
+                kind = draw(st.sampled_from(kinds))
+                qubits = draw(st.permutations(range(n)))[: kind.arity]
+                c.add(kind, *qubits, angle=draw(angles) if kind.is_parameterized else None)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_heavy_circuits())
+def test_diagonal_heavy_circuits_match_dense_oracle(c):
+    expected = dense_run(c)
+    for precision, atol in [("double", 1e-10), ("single", 1e-5)]:
+        amps = run(c, precision).amps
+        assert amps.dtype == _DTYPE[precision]
+        np.testing.assert_allclose(amps, expected, atol=atol, err_msg=precision)
+
+
+@pytest.mark.parametrize("precision, rtol", _PRECISIONS)
+@pytest.mark.parametrize("n", [1, 2, 7, 13, 14, 15])
+def test_phase_pass_matches_the_phase_polynomial(n, precision, rtol):
+    # Below, at and above one tile of 2^13 amplitudes.
+    rng = np.random.default_rng(n)
+    g, a = rng.uniform(-4, 4), rng.uniform(-4, 4, n)
+    b = np.triu(rng.uniform(-4, 4, (n, n)), 1)
+    sv = _random_state(n, precision, seed=n)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    expected = sv.amps * np.exp(1j * (g + bits @ a + np.einsum("xp,pq,xq->x", bits, b, bits)))
+    statevector._phase_pass(sv.amps, g, a, b, np.empty(TILE, sv.amps.dtype))
+    assert sv.amps.dtype == _DTYPE[precision]
+    np.testing.assert_allclose(sv.amps, expected, rtol=0, atol=10 * rtol * 2 ** (-n / 2))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_run_equals_gate_by_gate_at_16_qubits(family):
+    c = generate(GeneratorSpec(family, 16))
+    sv = init_zero(16)
+    for op in c.unitary_ops:
+        apply_gate(sv, op)
+    np.testing.assert_allclose(run(c).amps, sv.amps, rtol=0, atol=1e-12)
+
+
+# Passes over the state (block moves + GEMMs + low-block flushes + phase
+# passes) that ``run`` makes on each family at 16 qubits.
+_PASSES_AT_16 = {
+    Family.QAOA: 12, Family.RANDOM: 85, Family.QPE: 60, Family.QFT: 64,
+    Family.VQE: 19, Family.HAMILTONIAN: 5, Family.HIDDEN_SHIFT: 14, Family.BERNSTEIN_VAZIRANI: 15,
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_run_passes_stay_within_their_counts(caplog, family):
+    c = generate(GeneratorSpec(family, 16))
+    with caplog.at_level(logging.DEBUG, logger="qcsim.statevector"):
+        run(c)
+    [record] = [r for r in caplog.records if r.name == "qcsim.statevector"]
+    assert record.args[2] <= _PASSES_AT_16[family], record.getMessage()
+
+
 def _cnot_rz_cnot(a: int, b: int) -> list[GateOp]:
     return [GateOp(GateKind.CNOT, (a, b)), GateOp(GateKind.RZ, (b,), 0.4),
             GateOp(GateKind.CNOT, (a, b))]
 
 
-# ``passes``: (block moves, GEMMs, low-block flushes) on 16 qubits.
+def _cp_chain(length: int) -> list[GateOp]:
+    """CPs on (5, 6), (6, 7), ...: each gate touches the pending one before
+    it, which cannot fuse with it and is due."""
+    return [GateOp(GateKind.CP, (5 + i, 6 + i), 0.3 + 0.1 * i) for i in range(length)]
+
+
+# ``passes``: (block moves, GEMMs, low-block flushes, phase passes) on 16
+# qubits.
 @pytest.mark.parametrize("ops, passes", [
     # A layer of H: one low-block flush, one GEMM per band (5-9, 10-14, 15).
-    ([GateOp(GateKind.H, (q,)) for q in range(16)], (0, 3, 1)),
+    ([GateOp(GateKind.H, (q,)) for q in range(16)], (0, 3, 1, 0)),
     # CNOT.RZ.CNOT is one diagonal item on a high pair ...
-    (_cnot_rz_cnot(9, 12), (1, 0, 0)),
+    (_cnot_rz_cnot(9, 12), (1, 0, 0, 0)),
     # ... and on a crossing pair whose low qubit the low block does not
     # touch, pending or not: the block is applied once, at the end.
-    (_cnot_rz_cnot(2, 12), (1, 0, 0)),
-    ([GateOp(GateKind.H, (0,)), *_cnot_rz_cnot(2, 12)], (1, 0, 1)),
+    (_cnot_rz_cnot(2, 12), (1, 0, 0, 0)),
+    ([GateOp(GateKind.H, (0,)), *_cnot_rz_cnot(2, 12)], (1, 0, 1, 0)),
     # A crossing gate from a qubit the block touches flushes it first.
     ([GateOp(GateKind.H, (2,)), GateOp(GateKind.CNOT, (2, 12)), GateOp(GateKind.H, (2,))],
-     (1, 0, 2)),
+     (1, 0, 2, 0)),
     # RZ.RX.RZ on one high qubit is one 2x2 matrix.
     ([GateOp(GateKind.RZ, (7,), 0.3), GateOp(GateKind.RX, (7,), 0.5),
-      GateOp(GateKind.RZ, (7,), 0.7)], (0, 1, 0)),
+      GateOp(GateKind.RZ, (7,), 0.7)], (0, 1, 0, 0)),
+    # QAOA's cost layer: the pairs below qubit 5 join the low block, and
+    # every other pair's diagonal is parked in one phase pass.
+    ([op for a, b in itertools.combinations(range(16), 2) for op in _cnot_rz_cnot(a, b)],
+     (0, 0, 4, 1)),
+    # A run of diagonal gates up to PHASE_PASS_GATES is its gates' block
+    # moves, as when nothing was parked; one more gate makes it a pass.
+    (_cp_chain(statevector.PHASE_PASS_GATES), (statevector.PHASE_PASS_GATES, 0, 0, 0)),
+    (_cp_chain(statevector.PHASE_PASS_GATES + 1), (0, 0, 0, 1)),
 ], ids=["h-layer", "rzz-high", "rzz-crossing", "rzz-crossing-beside-block",
-        "crossing-flush", "rz-rx-rz"])
+        "crossing-flush", "rz-rx-rz", "qaoa-cost-layer", "diagonal-run-as-moves",
+        "diagonal-run-as-pass"])
 def test_run_logs_its_passes_over_the_state(caplog, ops, passes):
     c = Circuit(16, name="pattern")
     c.ops.extend(ops)
@@ -354,6 +447,21 @@ def test_run_logs_its_passes_over_the_state(caplog, ops, passes):
     name, gates, total, *split = record.args
     assert (name, gates, tuple(split), total) == ("pattern", len(ops), passes, sum(passes))
     np.testing.assert_allclose(amps, dense_run(c), atol=1e-12)
+
+
+@pytest.mark.parametrize("breaker", [
+    [GateOp(GateKind.X, (9,))],
+    [GateOp(GateKind.SWAP, (14, 3))],
+    [GateOp(GateKind.H, (11,))],
+    # CP(2, 6) is parked when H(2) joins the low block, which CNOT(2, 15)
+    # then flushes.
+    [GateOp(GateKind.CP, (2, 6), 0.4), GateOp(GateKind.H, (2,)), GateOp(GateKind.CNOT, (2, 15))],
+], ids=["permutation", "crossing-permutation", "band-gemm", "low-block"])
+def test_parked_phase_goes_before_the_gate_that_meets_it(breaker):
+    # A phase pass's worth of CPs on qubits 5-14 is parked, then met.
+    c = _prepared(16)
+    c.ops.extend([*_cp_chain(statevector.PHASE_PASS_GATES + 1), *breaker, *_cp_chain(3)])
+    np.testing.assert_allclose(run(c).amps, dense_run(c), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, statevector.FUSED_QUBITS + 1))
@@ -421,8 +529,9 @@ def test_apply_gate_allocates_less_than_two_states(kind):
         assert peak < limit, (op, peak / state_bytes)
 
 
-def test_run_holds_no_state_sized_temporary():
-    # Every gate kind, below, across and above the low block's qubits.
+def test_run_holds_no_state_sized_temporary(caplog):
+    # Every gate kind, below, across and above the low block's qubits, then
+    # a run of diagonal gates that makes a phase pass.
     n = 16
     c = _prepared(n)
     for kind in _UNITARY_KINDS:
@@ -430,14 +539,62 @@ def test_run_holds_no_state_sized_temporary():
         for qubits in ([(1,), (3,), (6,), (15,)] if kind.arity == 1
                        else [(0, 3), (4, 2), (2, 9), (11, 1), (8, 14), (15, 5)]):
             c.add(kind, *qubits, angle=angle)
+    c.ops.extend(_cp_chain(10))
     tracemalloc.start()
     try:
-        sv = run(c)
+        with caplog.at_level(logging.DEBUG, logger="qcsim.statevector"):
+            sv = run(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    [record] = [r for r in caplog.records if r.name == "qcsim.statevector"]
+    assert record.args[-1] == 1  # one phase pass
     assert (peak - sv.amps.nbytes) / sv.amps.nbytes < 0.5
     np.testing.assert_allclose(sv.norm(), 1.0, atol=1e-12)
+
+
+def test_phase_pass_holds_tables_of_a_root_of_the_state():
+    # Beside the scratch, allocated before, a phase pass holds numpy's
+    # ufunc buffers (8192 elements) and tables of O(2^(n/2)) entries; at 20
+    # qubits 2^10 is the square root of the state.
+    n = 20
+    rng = np.random.default_rng(0)
+    sv = _random_state(n, "double")
+    kernel = statevector._Kernel(sv)
+    for a, b in itertools.combinations(range(5, n), 2):
+        kernel.apply(GateOp(GateKind.RZZ, (a, b), float(rng.uniform(-3, 3))))
+    kernel.scratch  # allocated before, as the gates before a pass would
+    tracemalloc.start()
+    try:
+        kernel.flush()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (kernel.moves, kernel.phase_passes) == (0, 1)
+    assert peak < 8192 * 16 + 16 * (1 << n // 2) * 16, peak
+
+
+@pytest.mark.parametrize("kind", sorted(_DIAGONAL_KINDS, key=lambda k: k.name),
+                         ids=lambda k: k.name)
+def test_apply_gate_of_a_diagonal_gate_is_one_block_move(monkeypatch, kind):
+    moves = []
+    move = statevector._Kernel._move
+
+    def counting_move(kernel, blocks, u):
+        moves.append(len(blocks))
+        move(kernel, blocks, u)
+
+    def no_pass(*args):
+        raise AssertionError("a phase pass for one gate")
+
+    monkeypatch.setattr(statevector._Kernel, "_move", counting_move)
+    monkeypatch.setattr(statevector, "_phase_pass", no_pass)
+    op = GateOp(kind, (7,) if kind.arity == 1 else (7, 2), 0.73 if kind.is_parameterized else None)
+    sv = _random_state(10, "double")
+    expected = dense_apply(sv.amps.copy(), op, 10)
+    apply_gate(sv, op)
+    assert moves == [2 * kind.arity]
+    np.testing.assert_allclose(sv.amps, expected, atol=1e-12)
 
 
 class _FakeBlas:
