@@ -32,48 +32,44 @@ follows, fuses pending gates, and applies them through three primitives:
 
 What stays pending:
 
-* The low block.  Gates whose qubits all lie below ``k = min(5, n)`` are
-  fused into one ``2^k x 2^k`` matrix.  The matrix is built by applying
-  each such gate to the matrix itself: viewed as a ``2k``-qubit state whose
-  high ``k`` bits index its rows, it takes the gate on qubits shifted by
-  ``k`` through block moves and GEMMs.  It is applied as one GEMM with
-  ``lo = 0``, ``d`` the smallest power of two (at least 4) that covers the
-  low qubits its gates touch.  On qubits below 5 a block view runs in
-  pieces of fewer than 32 amplitudes, where numpy's per-piece overhead
-  costs more than the fused GEMM's arithmetic.
+* Blocks.  Qubits fall into bands of 5, band ``b`` holding qubits ``5b``
+  up to ``5b + 4`` (the last band may hold fewer).  Each band has at most
+  one pending block: a ``2^m x 2^m`` matrix on its ``m`` qubits, built by
+  applying each gate that joins it to the matrix itself.  Viewed as a
+  ``2m``-qubit state whose high ``m`` bits index its rows, the matrix
+  takes the gate on its qubits shifted into those bits through block moves
+  and GEMMs.  A gate whose qubits all lie in one band joins the band's
+  block when it is dense (H, RX, RY) or the block already touches one of
+  its qubits; the pending items on its qubits that lie wholly in the band
+  are folded into the block first, and the others are applied.  A block is
+  applied as one GEMM over the qubits from the lowest to the highest it
+  touches.  In band 0 that GEMM starts at qubit 0, as one over
+  ``amps.reshape(-1, d)`` with ``d`` at least 4: a view from a qubit
+  below 5 runs in pieces of fewer than 32 amplitudes, where numpy's
+  per-piece overhead costs more than the GEMM's arithmetic.  A layer of H
+  on 16 qubits is thus four passes over the state, one GEMM per band.
 * Pending items.  Every other gate becomes an item: its 2x2 or 4x4
-  matrix on its qubits.  Items have pairwise disjoint qubits, also
-  disjoint from the low qubits the low block touches, so everything
-  pending commutes and can be applied in any order before a gate that
-  touches it.  A new gate multiplies into the items it touches when their
-  qubits and its own number at most two and the product is 1-qubit or has
-  one nonzero per row: ``CNOT RZ CNOT`` becomes one diagonal item and
-  ``RZ RX RZ`` one 2x2 matrix.  Otherwise the touched items are applied
-  and the gate becomes an item of its own.  So each item runs through the
-  primitives, and no dense 2-qubit kernel is needed.  A gate on low
-  qubits first applies the items it touches; a gate that crosses from a
-  low qubit the low block touches first applies the low block.
-* Band GEMMs.  When a dense item on a qubit ``q`` is applied (by the rule
-  above it has one qubit), every other pending 1-qubit item in ``q``'s
-  band goes with it.  Bands are aligned groups of 5 qubits from ``k`` up.
-  The items' matrices, with the identity on the band's qubits between
-  them, form one ``2^m x 2^m`` matrix, applied as one tiled GEMM.  A layer
-  of H on 16 qubits is thus four passes over the state: the low block and
-  one GEMM per band.
+  matrix on its qubits, with one nonzero per row, since dense gates always
+  join a block.  Items have pairwise disjoint qubits, also disjoint from
+  the qubits the blocks touch, so everything pending commutes and can be
+  applied in any order before a gate that touches it.  Such a gate first
+  applies the blocks that touch its qubits.  It then multiplies into the
+  items it touches when their qubits and its own number at most two:
+  ``CNOT RZ CNOT`` becomes one diagonal item.  Otherwise the touched items
+  are applied and the gate becomes an item of its own.  So each item runs
+  as block moves, and no dense 2-qubit kernel is needed.
 * The phase.  A diagonal item that is due is not applied but parked in
   one pending phase polynomial, which comes before every other pending
-  gate.  So it is applied first when an item that is not diagonal (for a
-  band GEMM, any of its items) or the low block is applied on a qubit the
-  phase touches; at the end it runs after the items and before the low
-  block.  Parking decides nothing about fusion, so no circuit makes more
-  passes.  A phase of at most ``PHASE_PASS_GATES`` gates runs as its
-  gates' block moves, one each as if nothing was parked; a longer one runs
-  as one phase pass.  QAOA's cost layer (``CNOT RZ CNOT`` on every pair)
-  is thus one pass, where it was a block move per pair above the low
-  block.
+  gate.  So it is applied first when an item that is not diagonal or a
+  block is applied on a qubit the phase touches; at the end it runs after
+  the items and before the blocks.  Parking decides nothing about fusion,
+  so no circuit makes more passes.  A phase of at most
+  ``PHASE_PASS_GATES`` gates runs as its gates' block moves, one each as
+  if nothing was parked; a longer one runs as one phase pass.  QAOA's cost
+  layer (``CNOT RZ CNOT`` on every pair) is thus one pass.
 
 This is the k-qubit gate fusion of Häner & Steiger (arXiv:1704.01127),
-taken beyond the low qubits and, for diagonal gates, to any number of
+with k up to 5 for dense gates and, for diagonal gates, any number of
 qubits.
 
 GEMMs run on one BLAS thread (``blas.single_thread``), and the caller's
@@ -92,7 +88,7 @@ import numpy as np
 
 from . import blas
 from .circuit import Circuit, GateOp, index_to_bitstring
-from .errors import CapacityError, UnsupportedOpError
+from .errors import CapacityError, ConfigError, UnsupportedOpError
 
 _log = logging.getLogger(__name__)
 
@@ -108,11 +104,11 @@ _BUDGET_BYTES_PER_ELEMENT = 16
 _DTYPES = {"single": np.complex64, "double": np.complex128}
 _BYTES_PER_AMP = {"single": 8, "double": 16}
 
-# The low block covers qubits below min(FUSED_QUBITS, n); a band above it
-# covers FUSED_QUBITS qubits.
+# Band b, whose gates may fuse into one block, covers qubits
+# FUSED_QUBITS * b up to FUSED_QUBITS * (b + 1) - 1.
 FUSED_QUBITS = 5
 # Amplitudes of scratch (192 KiB at double precision), a multiple of
-# 2^FUSED_QUBITS so that it holds whole rows of the low block's GEMM.
+# 2^FUSED_QUBITS so that it holds whole rows of band 0's GEMM.
 # Larger tiles run the GEMMs faster, but with numpy's own ufunc buffers
 # (2 x 8192 elements) this is about the most that keeps ``run``'s
 # temporaries under half a 16-qubit state.
@@ -152,11 +148,14 @@ def _available_bytes() -> int | None:
 def _resolve_max_qubits(max_qubits: int | None) -> int:
     """The qubit budget: ``max_qubits`` if given, else ``QCSIM_MAX_QUBITS``,
     else the largest ``q`` whose ``2^q`` complex128 elements fit in the
-    memory the process can have."""
+    memory the process can have.  A ``QCSIM_MAX_QUBITS`` that is not a
+    non-negative integer raises ``ConfigError``."""
     if max_qubits is not None:
         return max_qubits
     env = os.environ.get(_ENV_MAX_QUBITS)
     if env:
+        if not env.strip().isdecimal():
+            raise ConfigError(f"{_ENV_MAX_QUBITS} must be a non-negative integer, got {env!r}")
         return int(env)
     available = _available_bytes()
     if available is None:
@@ -431,26 +430,26 @@ class _Phase:
 class _Kernel:
     """Applies gates to one state, keeping them pending where it can.
 
-    Gates on qubits below ``k`` multiply the low block.  Every other gate
-    becomes a pending item, fused with the items it touches when the rule
-    in the module docstring allows.  Items have pairwise disjoint qubits,
-    also disjoint from the low qubits the low block touches (``low_mask``),
-    so the items and the low block commute and may be applied in any order
-    before a gate that touches them.  A diagonal item that is due is parked
-    in the phase instead, which comes before every other pending gate: it
-    is applied before an item or the low block that meets its qubits, and
-    whatever is pending at the end runs as the items, the phase, then the
-    low block.  ``moves``, ``gemms``, ``flushes`` and ``phase_passes``
+    A gate within one band joins the band's block (a ``2^m x 2^m`` matrix
+    as a flat ``2m``-qubit state) when the rule in the module docstring
+    allows; every other gate becomes a pending item, fused with the items
+    it touches while their qubits number at most two.  Items have pairwise
+    disjoint qubits, also disjoint from the qubits the blocks touch
+    (``block_mask``), so the items and the blocks commute and may be
+    applied in any order before a gate that touches them.  A diagonal item
+    that is due is parked in the phase instead, which comes before every
+    other pending gate: it is applied before an item or a block that meets
+    its qubits, and whatever is pending at the end runs as the items, the
+    phase, then the blocks.  ``moves``, ``gemms`` and ``phase_passes``
     count the passes over the state."""
 
     def __init__(self, sv: StateVector):
         self.sv = sv
-        self.k = min(FUSED_QUBITS, sv.num_qubits)
-        self.low = None  # pending matrix as a flat 2k-qubit state; None is identity
-        self.low_mask = 0  # bit q set when a pending low gate touches qubit q
+        self.blocks: dict[int, np.ndarray] = {}  # by band; a band without one has identity
+        self.block_mask = 0  # bit q set when a pending block touches qubit q
         self.items: dict[int, _Item] = {}  # each pending item under each of its qubits
         self.phase: _Phase | None = None  # parked diagonal gates; None is identity
-        self.moves = self.gemms = self.flushes = self.phase_passes = 0
+        self.moves = self.gemms = self.phase_passes = 0
 
     @functools.cached_property
     def scratch(self) -> np.ndarray:
@@ -461,34 +460,26 @@ class _Kernel:
         gate = _Item(op.qubits, op.matrix())
         if not gate.sparse and len(gate.qubits) > 1:
             raise UnsupportedOpError(f"no kernel for a dense {len(gate.qubits)}-qubit gate")
-        touched = []
-        for q in gate.qubits:
-            item = self.items.get(q)
-            if item is not None and item not in touched:
-                touched.append(item)
-        if max(gate.qubits) < self.k:
-            if touched:
-                self._apply_items(touched)
-            if self.low is None:
-                self.low = np.eye(1 << self.k, dtype=self.sv.amps.dtype).ravel()
-            # The matrix's row index is its high k bits.
-            shifted = tuple(q + self.k for q in gate.qubits)
-            if gate.sparse:
-                self._move(_blocks(self.low, shifted), gate.u.tolist())
-            else:
-                _gemm(self.low, shifted[0], gate.u.astype(self.low.dtype, copy=False), self.scratch)
-            for q in gate.qubits:
-                self.low_mask |= 1 << q
+        touched = list(dict.fromkeys(self.items[q] for q in gate.qubits if q in self.items))
+        band = gate.qubits[0] // FUSED_QUBITS
+        if all(q // FUSED_QUBITS == band for q in gate.qubits) and (
+                not gate.sparse or any(self.block_mask >> q & 1 for q in gate.qubits)):
+            for item in touched:
+                if all(q // FUSED_QUBITS == band for q in item.qubits):
+                    for q in item.qubits:
+                        del self.items[q]
+                    self._fold(band, item)
+                else:
+                    self._apply_item(item)
+            self._fold(band, gate)
             return
-        if self.low_mask & (1 << min(gate.qubits)):
-            self.flush_low()
-        if touched:
-            support = set(gate.qubits).union(*(item.qubits for item in touched))
-            if len(support) == 1 or len(support) == 2 and gate.sparse and all(
-                    item.sparse for item in touched):
-                gate = self._fuse(gate, touched)
-            else:
-                self._apply_items(touched)
+        for band in {q // FUSED_QUBITS for q in gate.qubits if self.block_mask >> q & 1}:
+            self._apply_block(band)
+        if len(set(gate.qubits).union(*(item.qubits for item in touched))) > 2:
+            for item in touched:
+                self._apply_item(item)
+        elif touched:
+            gate = self._fuse(gate, touched)
         for q in gate.qubits:
             self.items[q] = gate
 
@@ -503,19 +494,9 @@ class _Kernel:
             u = u @ item.on(pair)
         return _Item(pair, u)
 
-    def _apply_items(self, items) -> None:
-        """Apply those of ``items`` still pending, dense ones first so that
-        each takes the 1-qubit items of its band along."""
-        for item in sorted(items, key=lambda item: item.sparse):
-            if self.items.get(item.qubits[0]) is item:
-                self._apply_item(item)
-
     def _apply_item(self, item: _Item) -> None:
-        """Apply one pending item: park a diagonal one in the phase, move a
-        permutation's blocks, and run a dense (1-qubit) one as a GEMM over
-        the pending 1-qubit items of its band, the identity on the band's
-        other qubits.  The phase goes first when it meets the qubits."""
-        amps = self.sv.amps
+        """Apply one pending item: park a diagonal one in the phase, and
+        move a permutation's blocks after the phase if it meets them."""
         for q in item.qubits:
             del self.items[q]
         if item.diagonal:
@@ -523,26 +504,10 @@ class _Kernel:
                 self.phase = _Phase(self.sv.num_qubits)
             self.phase.add(item)
             return
-        if item.sparse:
-            self._apply_phase_on(item.qubits)
-            # Python scalars take the state's dtype in numpy arithmetic.
-            self._move(_blocks(amps, item.qubits), item.u.tolist())
-            self.moves += 1
-            return
-        q = item.qubits[0]
-        first = q - (q - self.k) % FUSED_QUBITS
-        group = {q: item.u}
-        for j in range(first, min(first + FUSED_QUBITS, self.sv.num_qubits)):
-            other = self.items.get(j)
-            if other is not None and len(other.qubits) == 1:
-                group[j] = self.items.pop(j).u
-        self._apply_phase_on(group)
-        lo, hi = min(group), max(group)
-        u = group[hi]
-        for j in range(hi - 1, lo - 1, -1):
-            u = np.kron(u, group.get(j, _I2))
-        _gemm(amps, lo, u.astype(amps.dtype, copy=False), self.scratch)
-        self.gemms += 1
+        self._apply_phase_on(item.qubits)
+        # Python scalars take the state's dtype in numpy arithmetic.
+        self._move(_blocks(self.sv.amps, item.qubits), item.u.tolist())
+        self.moves += 1
 
     def _move(self, blocks: list[np.ndarray], u: list[list]) -> None:
         """Output block ``i`` is ``u[i][j] * block_j`` for the one nonzero
@@ -592,40 +557,65 @@ class _Kernel:
             _phase_pass(amps, phase.g, phase.a, phase.b, self.scratch)
             self.phase_passes += 1
 
-    def flush_low(self) -> None:
-        """Apply the pending low block to the state as one GEMM over
-        ``amps.reshape(-1, d)``, then reset it to identity.  Only the
-        block's top-left ``d x d`` corner is used: from qubit ``log2 d`` up
-        it carries the identity.  The phase goes first when it meets the
-        block's qubits."""
-        if self.low is None:
-            return
-        if self.phase is not None and self.phase.mask & self.low_mask:
+    def _width(self, band: int) -> int:
+        return min(FUSED_QUBITS, self.sv.num_qubits - band * FUSED_QUBITS)
+
+    def _fold(self, band: int, gate: _Item) -> None:
+        """Multiply ``gate``, on qubits of ``band``, into the band's block.
+        The block's row index is its high ``m`` bits, so the gate acts on
+        its qubits shifted there."""
+        m = self._width(band)
+        block = self.blocks.get(band)
+        if block is None:
+            block = self.blocks[band] = np.eye(1 << m, dtype=self.sv.amps.dtype).ravel()
+        shifted = tuple(q - band * FUSED_QUBITS + m for q in gate.qubits)
+        if gate.sparse:
+            self._move(_blocks(block, shifted), gate.u.tolist())
+        else:
+            _gemm(block, shifted[0], gate.u.astype(block.dtype, copy=False), self.scratch)
+        for q in gate.qubits:
+            self.block_mask |= 1 << q
+
+    def _apply_block(self, band: int) -> None:
+        """Apply the band's pending block as one GEMM over the qubits from
+        the lowest to the highest it touches (in band 0, from qubit 0 and
+        at least ``_MIN_GEMM_WIDTH`` wide), after the phase if it meets
+        them; the block carries the identity on the others."""
+        m, first = self._width(band), band * FUSED_QUBITS
+        mask = self.block_mask & ((1 << m) - 1) << first
+        self.block_mask &= ~mask
+        if self.phase is not None and self.phase.mask & mask:
             self._apply_phase()
-        full = 1 << self.k
-        d = max(1 << self.low_mask.bit_length(), min(_MIN_GEMM_WIDTH, full))
-        _gemm(self.sv.amps, 0, self.low.reshape(full, full)[:d, :d], self.scratch)
-        self.low, self.low_mask = None, 0
-        self.flushes += 1
+        mask >>= first
+        lo = 0 if band == 0 else (mask & -mask).bit_length() - 1
+        d = 1 << (mask.bit_length() - lo)
+        if band == 0:
+            d = max(d, min(_MIN_GEMM_WIDTH, 1 << m))
+        # The rows and columns whose bits outside ``lo`` to ``lo + log2 d - 1`` read 0.
+        u = self.blocks.pop(band).reshape(1 << m, 1 << m)[: d << lo: 1 << lo, : d << lo: 1 << lo]
+        _gemm(self.sv.amps, first + lo, u, self.scratch)
+        self.gemms += 1
 
     def flush(self) -> None:
         """Apply everything pending to the state: the items, the phase
-        (which now holds the diagonal ones), then the low block."""
-        self._apply_items(dict.fromkeys(self.items.values()))
+        (which now holds the diagonal ones), then the blocks."""
+        for item in dict.fromkeys(self.items.values()):
+            self._apply_item(item)
         self._apply_phase()
-        self.flush_low()
+        for band in list(self.blocks):
+            self._apply_block(band)
 
 
 def apply_gate(sv: StateVector, op: GateOp) -> StateVector:
     """Apply one gate in place and return the same state vector.
 
     The gate goes through the same kernel as in ``run``, which then applies
-    it at once: a gate on qubits below ``min(5, n)`` as a low block of its
-    own, one GEMM over ``amps.reshape(-1, d)``; any other gate by block
-    moves (diagonal and permutation gates) or as a tiled GEMM (H, RX, RY).
-    Either way the gate allocates at most a scratch of ``TILE``
-    amplitudes, and it runs on one BLAS thread, restoring the caller's
-    BLAS thread count afterwards.
+    it at once: a dense gate (H, RX, RY) as a block of its own, one tiled
+    GEMM (over ``amps.reshape(-1, d)`` on qubits below 5), and a diagonal
+    or permutation gate by block moves.  Either way the gate allocates at
+    most a scratch of ``TILE`` amplitudes and a block of ``2^10``, and it
+    runs on one BLAS thread, restoring the caller's BLAS thread count
+    afterwards.
     """
     kernel = _Kernel(sv)
     with blas.single_thread():
@@ -639,25 +629,24 @@ def run(
 ) -> StateVector:
     """Evolve |0...0> through every unitary op of ``c`` in order.
 
-    Gates stay pending as the module docstring describes: gates on qubits
-    below ``k = min(5, n)`` in the ``2^k x 2^k`` low block, every other
-    gate as a 2x2 or 4x4 item, fused with the items that share its qubits
-    while the product stays on two qubits and is 1-qubit or has one
-    nonzero per row.  Pending gates are applied before a gate that touches
-    them and cannot join them, a dense 1-qubit item together with every
-    pending 1-qubit item of its band as one GEMM, and whatever is left at
-    the end.  A diagonal item is parked in the pending phase instead,
-    which is applied before any other pending gate that meets its qubits
-    and at the end after the items and before the low block: as its gates'
-    block moves when it holds at most ``PHASE_PASS_GATES`` gates, else as
-    one phase pass.  The whole gate loop runs on one BLAS thread and
-    restores the caller's BLAS thread count afterwards.  Beyond the state
-    itself, ``run`` holds a scratch of ``TILE`` amplitudes, the
-    ``2^k x 2^k`` matrix, the items, the phase's ``n^2`` angles and, during
-    a phase pass, tables of ``O(2^(n/2))`` entries.  It logs one DEBUG
-    record on the ``qcsim.statevector`` logger: the gate count and the
-    passes over the state, split into block moves, GEMMs of items,
-    low-block flushes and phase passes.
+    Gates stay pending as the module docstring describes: a gate within one
+    band of 5 qubits in the band's block when it is dense or meets the
+    block, every other gate as a 2x2 or 4x4 item with one nonzero per row,
+    fused with the items that share its qubits while the product stays on
+    two qubits.  Pending gates are applied before a gate that touches them
+    and cannot join them, each block as one GEMM, and whatever is left at
+    the end.  A diagonal item is parked in the pending phase instead, which
+    is applied before any other pending gate that meets its qubits and at
+    the end after the items and before the blocks: as its gates' block
+    moves when it holds at most ``PHASE_PASS_GATES`` gates, else as one
+    phase pass.  The whole gate loop runs on one BLAS thread and restores
+    the caller's BLAS thread count afterwards.  Beyond the state itself,
+    ``run`` holds a scratch of ``TILE`` amplitudes, up to ``ceil(n/5)``
+    blocks of at most ``2^10`` elements, the items, the phase's ``n^2``
+    angles and, during a phase pass, tables of ``O(2^(n/2))`` entries.  It
+    logs one DEBUG record on the ``qcsim.statevector`` logger: the gate
+    count and the passes over the state, split into block moves, GEMMs and
+    phase passes.
 
     Trailing measurement markers are skipped; sample the result instead.
     """
@@ -670,10 +659,10 @@ def run(
         kernel.flush()
     _log.debug(
         "run %s: %d gates, %d passes over the state "
-        "(%d block moves, %d GEMMs, %d low-block flushes, %d phase passes)",
+        "(%d block moves, %d GEMMs, %d phase passes)",
         c.name or "circuit", len(ops),
-        kernel.moves + kernel.gemms + kernel.flushes + kernel.phase_passes,
-        kernel.moves, kernel.gemms, kernel.flushes, kernel.phase_passes,
+        kernel.moves + kernel.gemms + kernel.phase_passes,
+        kernel.moves, kernel.gemms, kernel.phase_passes,
     )
     return sv
 

@@ -107,7 +107,9 @@ def tn_memory_bytes(net: TensorNetwork, precision: str = "single") -> int:
 
 
 def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwork:
-    """Convert a circuit (and optional output bitstring) to a tensor network."""
+    """Convert a circuit (and optional output bitstring) to a tensor network.
+    A bitstring that is not ``n`` characters ``0`` or ``1`` raises
+    ``ValueError``."""
     ops = list(c.ops)
     # Trailing measurement markers are fine; mid-circuit ones are not.
     tail = len(ops)
@@ -118,8 +120,12 @@ def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwor
     ops = ops[:tail]
 
     n = c.num_qubits
-    if bitstring is not None and len(bitstring) != n:
-        raise ValueError(f"bitstring length {len(bitstring)} != {n} qubits")
+    if bitstring is not None:
+        if len(bitstring) != n:
+            raise ValueError(f"bitstring length {len(bitstring)} != {n} qubits")
+        bad = next((ch for ch in bitstring if ch not in "01"), None)
+        if bad is not None:
+            raise ValueError(f"bitstring {bitstring!r} holds {bad!r}, not 0 or 1")
 
     wire = [f"q{q}w0" for q in range(n)]
     counter = [0] * n

@@ -18,10 +18,10 @@ import run  # noqa: E402
 import workloads as wl  # noqa: E402
 
 TINY_JOBS = {
-    # At n=5 every gate joins the state vector's fused low block; qpe-8
-    # (checked against its closed form) and random-8 (against a TN
-    # amplitude) also cross it and run gates above it; vqe-12 and qaoa-12
-    # (TN amplitudes) run band GEMMs over two bands and fuse crossing
+    # At n=5 every gate lies in the state vector's band 0 (qubits 0-4);
+    # qpe-8 (checked against its closed form) and random-8 (against a TN
+    # amplitude) also cross into band 1; vqe-12 and qaoa-12 (TN
+    # amplitudes) fuse gates into blocks on three bands and fuse crossing
     # items.
     "sv-dist": [wl.Job("qft", 5), wl.Job("vqe", 5), wl.Job("qpe", 8), wl.Job("random", 8),
                 wl.Job("vqe", 12), wl.Job("qaoa", 12)],

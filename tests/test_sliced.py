@@ -63,6 +63,14 @@ def test_slices_must_be_power_of_two(bell):
         run_sliced(bell, "00", CFG, WorkerPoolConfig(workers=1), slices=3)
 
 
+def test_non_binary_bitstring_raises_before_a_pool_starts(monkeypatch, bell):
+    pools = []
+    monkeypatch.setattr(sliced, "make_worker_pool", lambda workers: pools.append(workers))
+    with pytest.raises(ValueError, match="holds '2'"):
+        run_sliced(bell, "02", CFG, WorkerPoolConfig(workers=2), slices=2)
+    assert pools == []
+
+
 class RecordingExecutor:
     """Runs ``map`` in this process and records every call."""
 

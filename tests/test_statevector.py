@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcsim import blas, statevector
 from qcsim.circuit import Circuit, GateOp, bitstring_to_index
-from qcsim.errors import CapacityError, UnsupportedOpError
+from qcsim.errors import CapacityError, ConfigError, UnsupportedOpError
 from qcsim.gates import GateKind
 from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.statevector import (
@@ -22,7 +22,13 @@ from qcsim.statevector import (
     sample,
     sv_memory_bytes,
 )
-from qcsim.tensornet import ContractionPlan, Tensor, TensorNetwork, _check_budget
+from qcsim.tensornet import (
+    ContractionPlan,
+    Tensor,
+    TensorNetwork,
+    _check_budget,
+    reconstruct_distribution,
+)
 
 from conftest import dense_apply, dense_run, draw_gates
 
@@ -51,6 +57,15 @@ def test_capacity_env_override(monkeypatch):
     with pytest.raises(CapacityError):
         init_zero(5)
     assert init_zero(4).num_qubits == 4
+
+
+@pytest.mark.parametrize("value", ["-1", "abc", "2.5"])
+def test_capacity_env_must_be_a_non_negative_integer(monkeypatch, value):
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", value)
+    with pytest.raises(ConfigError, match="QCSIM_MAX_QUBITS"):
+        init_zero(2)
+    with pytest.raises(ConfigError, match="QCSIM_MAX_QUBITS"):
+        reconstruct_distribution(Circuit(2).h(0))
 
 
 def test_default_budget_follows_available_memory(monkeypatch):
@@ -252,7 +267,7 @@ def _random_state(n: int, precision: str, seed: int = 0):
 @pytest.mark.parametrize("precision, atol", _PRECISIONS)
 @pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
 def test_every_gate_at_every_target_matches_dense_oracle(kind, precision, atol):
-    # n=4: every gate is a low block of its own; n=7: also above it.
+    # n=4: every gate is on band 0; n=7: also on band 1.
     for n in (4, 7):
         for seed, op in enumerate(_ops_on(n, kind)):
             sv = _random_state(n, precision, seed)
@@ -264,7 +279,7 @@ def test_every_gate_at_every_target_matches_dense_oracle(kind, precision, atol):
 
 def _prepared(n: int) -> Circuit:
     """A circuit to a state with no zero amplitude, ending in two gates on
-    qubits below 5 that stay pending in ``run``'s low block."""
+    band 0 (qubits 0-4) that stay pending in ``run``."""
     c = Circuit(n)
     for q in range(n):
         c.h(q).ry(q, 0.3 + 0.2 * q).rz(q, 0.1 + 0.37 * q)
@@ -273,18 +288,18 @@ def _prepared(n: int) -> Circuit:
     return c.rx(1, 0.4).cp(0, 3, 0.9)
 
 
-# Gates after the one under test: two that join the low block, one on a
-# high qubit that leaves it pending.
+# Gates after the one under test: two on band 0, and a dense one on band 1
+# that stays pending in its block.
 _TAIL = (GateOp(GateKind.H, (2,)), GateOp(GateKind.CZ, (1, 4)), GateOp(GateKind.RY, (6,), 0.5))
 
 
 @pytest.mark.parametrize("precision, atol", _PRECISIONS)
 @pytest.mark.parametrize("kind", _UNITARY_KINDS, ids=lambda k: k.name)
 def test_run_fuses_every_gate_at_every_target(kind, precision, atol):
-    # The low block covers qubits 0-4, so the gate under test joins it,
-    # crosses into the high qubits or stays high, where it meets the
-    # pending items of the prepared state and of the tail; on n=12 the
-    # high qubits span two bands (5-9 and 10-11).
+    # The gate under test lies in band 0 (qubits 0-4), in a higher band or
+    # across bands, where it meets the pending blocks and items of the
+    # prepared state and of the tail; on n=12 there are three bands (0-4,
+    # 5-9 and 10-11).
     for n in (7, 12):
         prepared = dense_run(_prepared(n))
         for op in _ops_on(n, kind):
@@ -300,9 +315,9 @@ def test_run_fuses_every_gate_at_every_target(kind, precision, atol):
 
 @st.composite
 def _random_circuits(draw):
-    # Most gates land on a few qubits, so that pending gates fuse, group
-    # into band GEMMs and cross between the low block and the items; on
-    # n > 10 the high qubits span two bands.
+    # Most gates land on a few qubits, so that pending gates fuse, join and
+    # fold into blocks and cross between bands; on n > 10 there are three
+    # bands.
     n = draw(st.integers(1, 13))
     c = Circuit(n)
     hot = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
@@ -329,9 +344,9 @@ _BREAKER_KINDS = [GateKind.H, GateKind.RX, GateKind.CNOT, GateKind.SWAP]
 @st.composite
 def _diagonal_heavy_circuits(draw):
     # Runs of diagonal gates on any qubits, so that they are parked across
-    # bands and beside or across the low block, often more of them than
+    # bands and beside or across band 0's block, often more of them than
     # PHASE_PASS_GATES; each run is broken by a gate that meets the phase.
-    # Registers of up to 5 qubits, all low block, are left to the tests
+    # Registers of up to 5 qubits, all band 0, are left to the tests
     # above.
     n = draw(st.integers(6, 13))
     c = Circuit(n)
@@ -382,11 +397,11 @@ def test_run_equals_gate_by_gate_at_16_qubits(family):
     np.testing.assert_allclose(run(c).amps, sv.amps, rtol=0, atol=1e-12)
 
 
-# Passes over the state (block moves + GEMMs + low-block flushes + phase
-# passes) that ``run`` makes on each family at 16 qubits.
+# Passes over the state (block moves + GEMMs + phase passes) that ``run``
+# makes on each family at 16 qubits.
 _PASSES_AT_16 = {
-    Family.QAOA: 12, Family.RANDOM: 85, Family.QPE: 60, Family.QFT: 64,
-    Family.VQE: 19, Family.HAMILTONIAN: 5, Family.HIDDEN_SHIFT: 14, Family.BERNSTEIN_VAZIRANI: 15,
+    Family.QAOA: 9, Family.RANDOM: 85, Family.QPE: 17, Family.QFT: 32,
+    Family.VQE: 19, Family.HAMILTONIAN: 5, Family.HIDDEN_SHIFT: 10, Family.BERNSTEIN_VAZIRANI: 15,
 }
 
 
@@ -410,33 +425,38 @@ def _cp_chain(length: int) -> list[GateOp]:
     return [GateOp(GateKind.CP, (5 + i, 6 + i), 0.3 + 0.1 * i) for i in range(length)]
 
 
-# ``passes``: (block moves, GEMMs, low-block flushes, phase passes) on 16
-# qubits.
+# ``passes``: (block moves, GEMMs, phase passes) on 16 qubits.
 @pytest.mark.parametrize("ops, passes", [
-    # A layer of H: one low-block flush, one GEMM per band (5-9, 10-14, 15).
-    ([GateOp(GateKind.H, (q,)) for q in range(16)], (0, 3, 1, 0)),
-    # CNOT.RZ.CNOT is one diagonal item on a high pair ...
-    (_cnot_rz_cnot(9, 12), (1, 0, 0, 0)),
-    # ... and on a crossing pair whose low qubit the low block does not
-    # touch, pending or not: the block is applied once, at the end.
-    (_cnot_rz_cnot(2, 12), (1, 0, 0, 0)),
-    ([GateOp(GateKind.H, (0,)), *_cnot_rz_cnot(2, 12)], (1, 0, 1, 0)),
-    # A crossing gate from a qubit the block touches flushes it first.
+    # A layer of H: one GEMM per band (0-4, 5-9, 10-14, 15).
+    ([GateOp(GateKind.H, (q,)) for q in range(16)], (0, 4, 0)),
+    # CNOT.RZ.CNOT is one diagonal item on a pair in two bands ...
+    (_cnot_rz_cnot(9, 12), (1, 0, 0)),
+    # ... also from band 0, whether or not band 0 has a block pending that
+    # does not touch the pair: the block is applied once, at the end.
+    (_cnot_rz_cnot(2, 12), (1, 0, 0)),
+    ([GateOp(GateKind.H, (0,)), *_cnot_rz_cnot(2, 12)], (1, 1, 0)),
+    # A crossing gate on a qubit a block touches applies the block first.
     ([GateOp(GateKind.H, (2,)), GateOp(GateKind.CNOT, (2, 12)), GateOp(GateKind.H, (2,))],
-     (1, 0, 2, 0)),
-    # RZ.RX.RZ on one high qubit is one 2x2 matrix.
+     (1, 2, 0)),
+    # RZ.RX.RZ on one qubit is one block.
     ([GateOp(GateKind.RZ, (7,), 0.3), GateOp(GateKind.RX, (7,), 0.5),
-      GateOp(GateKind.RZ, (7,), 0.7)], (0, 1, 0, 0)),
-    # QAOA's cost layer: the pairs below qubit 5 join the low block, and
-    # every other pair's diagonal is parked in one phase pass.
+      GateOp(GateKind.RZ, (7,), 0.7)], (0, 1, 0)),
+    # A pending item within the band is folded into the block of the dense
+    # gate that meets it ...
+    ([GateOp(GateKind.CP, (6, 7), 0.4), GateOp(GateKind.H, (6,))], (0, 1, 0)),
+    ([GateOp(GateKind.CNOT, (6, 8)), GateOp(GateKind.H, (8,))], (0, 1, 0)),
+    # ... and a sparse gate within the band joins the block it meets.
+    ([GateOp(GateKind.H, (6,)), GateOp(GateKind.CNOT, (6, 8))], (0, 1, 0)),
+    # QAOA's cost layer: every pair's diagonal is parked in one phase pass.
     ([op for a, b in itertools.combinations(range(16), 2) for op in _cnot_rz_cnot(a, b)],
-     (0, 0, 4, 1)),
+     (0, 0, 1)),
     # A run of diagonal gates up to PHASE_PASS_GATES is its gates' block
     # moves, as when nothing was parked; one more gate makes it a pass.
-    (_cp_chain(statevector.PHASE_PASS_GATES), (statevector.PHASE_PASS_GATES, 0, 0, 0)),
-    (_cp_chain(statevector.PHASE_PASS_GATES + 1), (0, 0, 0, 1)),
+    (_cp_chain(statevector.PHASE_PASS_GATES), (statevector.PHASE_PASS_GATES, 0, 0)),
+    (_cp_chain(statevector.PHASE_PASS_GATES + 1), (0, 0, 1)),
 ], ids=["h-layer", "rzz-high", "rzz-crossing", "rzz-crossing-beside-block",
-        "crossing-flush", "rz-rx-rz", "qaoa-cost-layer", "diagonal-run-as-moves",
+        "crossing-flush", "rz-rx-rz", "cp-folded-into-block", "cnot-folded-into-block",
+        "cnot-joins-block", "qaoa-cost-layer", "diagonal-run-as-moves",
         "diagonal-run-as-pass"])
 def test_run_logs_its_passes_over_the_state(caplog, ops, passes):
     c = Circuit(16, name="pattern")
@@ -453,8 +473,8 @@ def test_run_logs_its_passes_over_the_state(caplog, ops, passes):
     [GateOp(GateKind.X, (9,))],
     [GateOp(GateKind.SWAP, (14, 3))],
     [GateOp(GateKind.H, (11,))],
-    # CP(2, 6) is parked when H(2) joins the low block, which CNOT(2, 15)
-    # then flushes.
+    # CP(2, 6) is parked when H(2) joins band 0's block, which CNOT(2, 15)
+    # then applies.
     [GateOp(GateKind.CP, (2, 6), 0.4), GateOp(GateKind.H, (2,)), GateOp(GateKind.CNOT, (2, 15))],
 ], ids=["permutation", "crossing-permutation", "band-gemm", "low-block"])
 def test_parked_phase_goes_before_the_gate_that_meets_it(breaker):
@@ -478,11 +498,11 @@ def test_run_on_registers_no_wider_than_the_low_block(n):
 
 
 @pytest.mark.parametrize("n, op", [
-    (7, GateOp(GateKind.H, (9,))),  # high: applied at once
-    (7, GateOp(GateKind.H, (-1,))),  # would be fused into the low block
+    (7, GateOp(GateKind.H, (9,))),
+    (7, GateOp(GateKind.H, (-1,))),  # would join band 0's block
     (7, GateOp(GateKind.CNOT, (2, 7))),  # would cross
     (7, GateOp(GateKind.RZ, (7,), 0.5)),
-    (3, GateOp(GateKind.X, (3,))),  # the low block covers the register
+    (3, GateOp(GateKind.X, (3,))),  # band 0 covers the register
     (3, GateOp(GateKind.SWAP, (0, -2))),
 ])
 def test_out_of_range_qubit_raises_fused_or_not(n, op):
@@ -507,8 +527,7 @@ def test_apply_gate_updates_the_state_buffer_in_place(kind):
 def test_apply_gate_allocates_less_than_two_states(kind):
     # Diagonal gates only scale blocks in place (numpy's ufunc buffers, a
     # quarter state, are all they hold); the dense gates hold the scratch
-    # and the low block's matrix; permutations may also hold numpy's
-    # buffers.
+    # and their band's block; permutations may also hold numpy's buffers.
     n = 16
     sv = _random_state(n, "double")
     state_bytes = sv.amps.nbytes
@@ -530,8 +549,9 @@ def test_apply_gate_allocates_less_than_two_states(kind):
 
 
 def test_run_holds_no_state_sized_temporary(caplog):
-    # Every gate kind, below, across and above the low block's qubits, then
-    # a run of diagonal gates that makes a phase pass.
+    # Every gate kind, on band 0, across bands and above band 0, then a run
+    # of diagonal gates between bands 1 and 2 that makes a phase pass (a
+    # gate within one band could join its band's pending block instead).
     n = 16
     c = _prepared(n)
     for kind in _UNITARY_KINDS:
@@ -539,7 +559,8 @@ def test_run_holds_no_state_sized_temporary(caplog):
         for qubits in ([(1,), (3,), (6,), (15,)] if kind.arity == 1
                        else [(0, 3), (4, 2), (2, 9), (11, 1), (8, 14), (15, 5)]):
             c.add(kind, *qubits, angle=angle)
-    c.ops.extend(_cp_chain(10))
+    c.ops.extend(GateOp(GateKind.CP, (a, b), 0.3 + 0.1 * a + 0.2 * b)
+                 for a in range(5, 10) for b in (10, 11))
     tracemalloc.start()
     try:
         with caplog.at_level(logging.DEBUG, logger="qcsim.statevector"):

@@ -121,6 +121,15 @@ def test_empty_circuit_amplitude_one():
     assert amplitude(Circuit(2), "01") == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("bits, bad", [("02", "'2'"), ("0x", "'x'")])
+def test_amplitude_rejects_a_bitstring_that_is_not_binary(bits, bad):
+    qft2 = generate(GeneratorSpec(Family.QFT, 2))
+    with pytest.raises(ValueError, match=f"holds {bad}"):
+        amplitude(qft2, bits)
+    with pytest.raises(ValueError, match="length"):
+        amplitude(qft2, "0")
+
+
 def test_contraction_matches_brute_force_einsum():
     rng = np.random.default_rng(0)
     for seed in range(5):
