@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import harness
+from . import harness, statevector
 from .advisor import Backend, advise_circuit
 from .circuit import Circuit
 from .errors import CapacityError, ConfigError, QasmParseError, QcsimError
@@ -196,6 +196,8 @@ def _simulate_one(circuit, backend, args):
                    "amplitude_re": result.real, "amplitude_im": result.imag}
     payload["backend"] = backend
     payload["timing"] = harness.summarize_times([r["total_time_s"] for r in rows])
+    if backend == "sv":  # planned again here, outside the timed reps
+        payload["passes"] = statevector.pass_counts(statevector.plan(circuit, args.precision))
     return payload, rows
 
 

@@ -2,13 +2,29 @@
 
 Amplitudes live in a flat array of length ``2^n`` indexed little endian
 (qubit 0 = least-significant bit).  Gates update that array in place and
-are never expanded to a ``2^n x 2^n`` matrix.  ``apply_gate`` and ``run``
-share one kernel.  It keeps gates pending while they commute with what
-follows, fuses pending gates, and applies them through three primitives:
+are never expanded to a ``2^n x 2^n`` matrix.  ``run`` and ``apply_gate``
+share one planner and one executor.  The planner keeps gates pending while
+they commute with what follows, fuses pending gates, and emits the passes
+over the state that apply them; its decisions depend on the gates alone,
+never on the amplitudes, so ``plan`` returns a circuit's passes without a
+state.  The executor then runs the passes in order.
+
+The plan is a list of tuples of plain data, matrices at the state's dtype:
+
+* ``("move", qubits, u)``: a block move of the 2x2 or 4x4 matrix ``u``,
+  which has one nonzero entry per row, on ``qubits`` in the matrix order
+  of ``gates.py``.
+* ``("gemm", lo, u)``: a tiled GEMM of the ``d x d`` matrix ``u`` on the
+  ``log2 d`` qubits from ``lo`` up.
+* ``("phase", g, a, b)``: a phase pass of the global phase ``g``, the
+  angle per qubit ``a`` (length ``n``) and the angle per pair ``b``
+  (``n x n``, strictly upper triangular).
+
+How the executor runs each kind:
 
 * Block moves.  A gate views the amplitudes as strided blocks, one block
   per basis value of its target qubits (two for a 1-qubit gate, four for a
-  2-qubit gate).  When its matrix has one nonzero entry per row, a diagonal
+  2-qubit gate).  Its matrix has one nonzero entry per row, so a diagonal
   gate (Z, RZ, CZ, CP, RZZ) only scales blocks in place and a permutation
   with phases (X, Y, CNOT, SWAP) moves them along the permutation's cycles,
   one tile at a time through the scratch.
@@ -19,7 +35,7 @@ follows, fuses pending gates, and applies them through three primitives:
   product goes to the scratch and is copied back.  For ``lo = 0`` a tile
   is a run of rows of ``amps.reshape(-1, d)``, multiplied by ``U.T``.  The
   scratch holds ``TILE`` amplitudes; ``apply_gate`` and ``run`` allocate it
-  once per call, on the first gate that needs it.
+  once per call and share it between the planner and the executor.
 * Phase pass.  A product of diagonal gates multiplies each amplitude by
   ``exp(i (g + sum_q a_q x_q + sum_{p<q} b_pq x_p x_q))``, ``x`` the bits
   of its index: a global phase, an angle per qubit and one per pair, which
@@ -30,7 +46,8 @@ follows, fuses pending gates, and applies them through three primitives:
   are built by doubling with complex multiplies, never an ``exp`` per
   amplitude, and hold ``O(2^(n/2))`` entries beside the scratch.
 
-What stays pending:
+The fusion rules, that is, what the planner keeps pending and when it emits
+a pass:
 
 * Blocks.  Qubits fall into bands of 5, band ``b`` holding qubits ``5b``
   up to ``5b + 4`` (the last band may hold fewer).  Each band has at most
@@ -38,32 +55,35 @@ What stays pending:
   applying each gate that joins it to the matrix itself.  Viewed as a
   ``2m``-qubit state whose high ``m`` bits index its rows, the matrix
   takes the gate on its qubits shifted into those bits through block moves
-  and GEMMs.  A gate whose qubits all lie in one band joins the band's
+  and GEMMs (the folds, on at most ``2^10`` elements, run while planning).
+  A gate whose qubits all lie in one band joins the band's
   block when it is dense (H, RX, RY) or the block already touches one of
   its qubits; the pending items on its qubits that lie wholly in the band
   are folded into the block first, and the others are applied.  A block is
   applied as one GEMM over the qubits from the lowest to the highest it
-  touches.  In band 0 that GEMM starts at qubit 0, as one over
-  ``amps.reshape(-1, d)`` with ``d`` at least 4: a view from a qubit
-  below 5 runs in pieces of fewer than 32 amplitudes, where numpy's
-  per-piece overhead costs more than the GEMM's arithmetic.  A layer of H
-  on 16 qubits is thus four passes over the state, one GEMM per band.
+  touches, carrying the identity on the others.  In band 0 that GEMM
+  starts at qubit 0 and is at least ``_MIN_GEMM_WIDTH`` wide, as one over
+  ``amps.reshape(-1, d)``: a view from a qubit below 5 runs in pieces of
+  fewer than 32 amplitudes, where numpy's per-piece overhead costs more
+  than the GEMM's arithmetic.  A layer of H on 16 qubits is thus four
+  passes over the state, one GEMM per band.
 * Pending items.  Every other gate becomes an item: its 2x2 or 4x4
   matrix on its qubits, with one nonzero per row, since dense gates always
-  join a block.  Items have pairwise disjoint qubits, also disjoint from
-  the qubits the blocks touch, so everything pending commutes and can be
-  applied in any order before a gate that touches it.  Such a gate first
-  applies the blocks that touch its qubits.  It then multiplies into the
-  items it touches when their qubits and its own number at most two:
-  ``CNOT RZ CNOT`` becomes one diagonal item.  Otherwise the touched items
-  are applied and the gate becomes an item of its own.  So each item runs
-  as block moves, and no dense 2-qubit kernel is needed.
+  join a block (a dense gate on two qubits raises ``UnsupportedOpError``).
+  Items have pairwise disjoint qubits, also disjoint from the qubits the
+  blocks touch, so everything pending commutes and can be applied in any
+  order before a gate that touches it.  Such a gate first applies the
+  blocks that touch its qubits.  It then multiplies into the items it
+  touches when their qubits and its own number at most two: ``CNOT RZ
+  CNOT`` becomes one diagonal item.  Otherwise the touched items are
+  applied and the gate becomes an item of its own.  So each item runs as
+  a block move, and no dense 2-qubit kernel is needed.
 * The phase.  A diagonal item that is due is not applied but parked in
   one pending phase polynomial, which comes before every other pending
   gate.  So it is applied first when an item that is not diagonal or a
-  block is applied on a qubit the phase touches; at the end it runs after
-  the items and before the blocks.  Parking decides nothing about fusion,
-  so no circuit makes more passes.  A phase of at most
+  block is applied on a qubit the phase touches; at the end of the plan it
+  runs after the items and before the blocks.  Parking decides nothing
+  about fusion, so no circuit makes more passes.  A phase of at most
   ``PHASE_PASS_GATES`` gates runs as its gates' block moves, one each as
   if nothing was parked; a longer one runs as one phase pass.  QAOA's cost
   layer (``CNOT RZ CNOT`` on every pair) is thus one pass.
@@ -78,7 +98,6 @@ more than they save.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import os
@@ -184,10 +203,9 @@ class StateVector:
         return StateVector(self.num_qubits, self.amps.copy())
 
 
-def init_zero(
-    n: int, precision: str = "double", max_qubits: int | None = None
-) -> StateVector:
-    """|0...0> on ``n`` qubits; refuses sizes beyond the qubit budget."""
+def _check_capacity(n: int, precision: str, max_qubits: int | None) -> None:
+    """Refuse an ``n``-qubit state beyond the qubit budget, fewer than one
+    qubit, or a precision other than 'single' and 'double'."""
     if n < 1:
         raise ValueError("need at least one qubit")
     if precision not in _DTYPES:
@@ -201,6 +219,13 @@ def init_zero(
             f"set {_ENV_MAX_QUBITS} to override",
             required_bytes=required,
         )
+
+
+def init_zero(
+    n: int, precision: str = "double", max_qubits: int | None = None
+) -> StateVector:
+    """|0...0> on ``n`` qubits; refuses sizes beyond the qubit budget."""
+    _check_capacity(n, precision, max_qubits)
     amps = np.zeros(1 << n, dtype=_DTYPES[precision])
     amps[0] = 1.0
     return StateVector(n, amps)
@@ -239,6 +264,37 @@ def _scaled_into(out: np.ndarray, block: np.ndarray, x) -> None:
         np.copyto(out, block)  # faster than a multiply by one
     else:
         np.multiply(block, x, out=out)
+
+
+def _move(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply ``u``, with one nonzero entry per row, on ``qubits`` by block
+    moves: output block ``i`` is ``u[i][j] * block_j`` for the one nonzero
+    ``u[i][j]`` of row ``i``.  A block the permutation fixes is scaled in
+    place (not at all for a unit entry), so a diagonal gate needs no
+    scratch; each longer cycle is moved tile by tile, its first tile
+    parked in the scratch."""
+    blocks = _blocks(amps, qubits)
+    u = u.tolist()  # Python scalars take the dtype of ``amps`` in numpy arithmetic
+    src = [next(j for j, x in enumerate(row) if x) for row in u]
+    seen = set()
+    for first in range(len(blocks)):
+        if first in seen:
+            continue
+        cycle = [first]
+        while src[cycle[-1]] != first:
+            cycle.append(src[cycle[-1]])
+        seen.update(cycle)
+        if len(cycle) == 1:
+            if u[first][first] != 1:
+                blocks[first] *= u[first][first]
+            continue
+        for ix in _tiles(blocks[first].shape, TILE):
+            piece = blocks[first][ix]
+            parked = scratch[: piece.size].reshape(piece.shape)
+            np.copyto(parked, piece)
+            for i, j in zip(cycle, cycle[1:]):
+                _scaled_into(blocks[i][ix], blocks[j][ix], u[i][j])
+            _scaled_into(blocks[cycle[-1]][ix], parked, u[cycle[-1]][first])
 
 
 def _gemm(amps: np.ndarray, lo: int, u: np.ndarray, scratch: np.ndarray) -> None:
@@ -428,35 +484,39 @@ class _Phase:
 
 
 class _Kernel:
-    """Applies gates to one state, keeping them pending where it can.
+    """Plans the passes over an ``n``-qubit state by the fusion rules of the
+    module docstring, without the state; the state's dtype is the
+    scratch's, which the blocks' folds use and the executor then shares.
 
-    A gate within one band joins the band's block (a ``2^m x 2^m`` matrix
-    as a flat ``2m``-qubit state) when the rule in the module docstring
-    allows; every other gate becomes a pending item, fused with the items
-    it touches while their qubits number at most two.  Items have pairwise
-    disjoint qubits, also disjoint from the qubits the blocks touch
-    (``block_mask``), so the items and the blocks commute and may be
-    applied in any order before a gate that touches them.  A diagonal item
-    that is due is parked in the phase instead, which comes before every
-    other pending gate: it is applied before an item or a block that meets
-    its qubits, and whatever is pending at the end runs as the items, the
-    phase, then the blocks.  ``moves``, ``gemms`` and ``phase_passes``
-    count the passes over the state."""
+    ``blocks`` holds the pending block of each band that has one,
+    ``block_mask`` the qubits they touch, ``items`` each pending item under
+    each of its qubits, and ``phase`` the parked diagonal gates.  Emitted
+    passes go to ``passes``."""
 
-    def __init__(self, sv: StateVector):
-        self.sv = sv
+    def __init__(self, n: int, scratch: np.ndarray):
+        self.n, self.scratch = n, scratch
         self.blocks: dict[int, np.ndarray] = {}  # by band; a band without one has identity
-        self.block_mask = 0  # bit q set when a pending block touches qubit q
-        self.items: dict[int, _Item] = {}  # each pending item under each of its qubits
-        self.phase: _Phase | None = None  # parked diagonal gates; None is identity
-        self.moves = self.gemms = self.phase_passes = 0
+        self.block_mask = 0
+        self.items: dict[int, _Item] = {}
+        self.phase = _Phase(n)
+        self.passes: list[tuple] = []
 
-    @functools.cached_property
-    def scratch(self) -> np.ndarray:
-        return np.empty(TILE, dtype=self.sv.amps.dtype)
+    def plan(self, ops) -> list[tuple]:
+        """The passes that apply ``ops`` to the state: every gate's, then
+        whatever is pending at the end as the items, the phase (which now
+        holds the diagonal ones) and the blocks.  A bad op raises before
+        any pass is returned."""
+        for op in ops:
+            self.apply(op)
+        for item in dict.fromkeys(self.items.values()):
+            self._apply_item(item)
+        self._apply_phase()
+        for band in list(self.blocks):
+            self._apply_block(band)
+        return self.passes
 
     def apply(self, op: GateOp) -> None:
-        _check_qubits(op, self.sv.num_qubits)
+        _check_qubits(op, self.n)
         gate = _Item(op.qubits, op.matrix())
         if not gate.sparse and len(gate.qubits) > 1:
             raise UnsupportedOpError(f"no kernel for a dense {len(gate.qubits)}-qubit gate")
@@ -500,65 +560,25 @@ class _Kernel:
         for q in item.qubits:
             del self.items[q]
         if item.diagonal:
-            if self.phase is None:
-                self.phase = _Phase(self.sv.num_qubits)
             self.phase.add(item)
             return
-        self._apply_phase_on(item.qubits)
-        # Python scalars take the state's dtype in numpy arithmetic.
-        self._move(_blocks(self.sv.amps, item.qubits), item.u.tolist())
-        self.moves += 1
+        self._apply_phase(sum(1 << q for q in item.qubits))
+        self.passes.append(("move", item.qubits, item.u.astype(self.scratch.dtype, copy=False)))
 
-    def _move(self, blocks: list[np.ndarray], u: list[list]) -> None:
-        """Output block ``i`` is ``u[i][j] * block_j`` for the one nonzero
-        ``u[i][j]`` of row ``i``.  A block the permutation fixes is scaled in
-        place (not at all for a unit entry), so a diagonal gate needs no
-        scratch; each longer cycle is moved tile by tile, its first tile
-        parked in the scratch."""
-        src = [next(j for j, x in enumerate(row) if x) for row in u]
-        seen = set()
-        for first in range(len(blocks)):
-            if first in seen:
-                continue
-            cycle = [first]
-            while src[cycle[-1]] != first:
-                cycle.append(src[cycle[-1]])
-            seen.update(cycle)
-            if len(cycle) == 1:
-                if u[first][first] != 1:
-                    blocks[first] *= u[first][first]
-                continue
-            for ix in _tiles(blocks[first].shape, TILE):
-                piece = blocks[first][ix]
-                parked = self.scratch[: piece.size].reshape(piece.shape)
-                np.copyto(parked, piece)
-                for i, j in zip(cycle, cycle[1:]):
-                    _scaled_into(blocks[i][ix], blocks[j][ix], u[i][j])
-                _scaled_into(blocks[cycle[-1]][ix], parked, u[cycle[-1]][first])
-
-    def _apply_phase_on(self, qubits) -> None:
-        """Apply the phase if it touches any of ``qubits``."""
-        if self.phase is not None and any(self.phase.mask >> q & 1 for q in qubits):
-            self._apply_phase()
-
-    def _apply_phase(self) -> None:
-        """Apply the parked diagonal gates, then reset the phase to identity:
-        up to ``PHASE_PASS_GATES`` gates as their own block moves, more as
-        one phase pass."""
-        phase, self.phase = self.phase, None
-        if phase is None:
+    def _apply_phase(self, mask: int = -1) -> None:
+        """Apply the parked diagonal gates if they touch a qubit of ``mask``
+        (any qubit by default), then reset the phase to identity."""
+        if not self.phase.mask & mask:
             return
-        amps = self.sv.amps
+        phase, self.phase = self.phase, _Phase(self.n)
         if phase.count <= PHASE_PASS_GATES:
-            for item in phase.gates:
-                self._move(_blocks(amps, item.qubits), item.u.tolist())
-            self.moves += phase.count
+            self.passes += [("move", item.qubits, item.u.astype(self.scratch.dtype, copy=False))
+                            for item in phase.gates]
         else:
-            _phase_pass(amps, phase.g, phase.a, phase.b, self.scratch)
-            self.phase_passes += 1
+            self.passes.append(("phase", phase.g, phase.a, phase.b))
 
     def _width(self, band: int) -> int:
-        return min(FUSED_QUBITS, self.sv.num_qubits - band * FUSED_QUBITS)
+        return min(FUSED_QUBITS, self.n - band * FUSED_QUBITS)
 
     def _fold(self, band: int, gate: _Item) -> None:
         """Multiply ``gate``, on qubits of ``band``, into the band's block.
@@ -567,25 +587,22 @@ class _Kernel:
         m = self._width(band)
         block = self.blocks.get(band)
         if block is None:
-            block = self.blocks[band] = np.eye(1 << m, dtype=self.sv.amps.dtype).ravel()
+            block = self.blocks[band] = np.eye(1 << m, dtype=self.scratch.dtype).ravel()
         shifted = tuple(q - band * FUSED_QUBITS + m for q in gate.qubits)
         if gate.sparse:
-            self._move(_blocks(block, shifted), gate.u.tolist())
+            _move(block, shifted, gate.u, self.scratch)
         else:
             _gemm(block, shifted[0], gate.u.astype(block.dtype, copy=False), self.scratch)
         for q in gate.qubits:
             self.block_mask |= 1 << q
 
     def _apply_block(self, band: int) -> None:
-        """Apply the band's pending block as one GEMM over the qubits from
-        the lowest to the highest it touches (in band 0, from qubit 0 and
-        at least ``_MIN_GEMM_WIDTH`` wide), after the phase if it meets
-        them; the block carries the identity on the others."""
+        """Apply the band's pending block as one GEMM, after the phase if
+        it meets the block's qubits."""
         m, first = self._width(band), band * FUSED_QUBITS
         mask = self.block_mask & ((1 << m) - 1) << first
         self.block_mask &= ~mask
-        if self.phase is not None and self.phase.mask & mask:
-            self._apply_phase()
+        self._apply_phase(mask)
         mask >>= first
         lo = 0 if band == 0 else (mask & -mask).bit_length() - 1
         d = 1 << (mask.bit_length() - lo)
@@ -593,34 +610,47 @@ class _Kernel:
             d = max(d, min(_MIN_GEMM_WIDTH, 1 << m))
         # The rows and columns whose bits outside ``lo`` to ``lo + log2 d - 1`` read 0.
         u = self.blocks.pop(band).reshape(1 << m, 1 << m)[: d << lo: 1 << lo, : d << lo: 1 << lo]
-        _gemm(self.sv.amps, first + lo, u, self.scratch)
-        self.gemms += 1
+        self.passes.append(("gemm", first + lo, u))
 
-    def flush(self) -> None:
-        """Apply everything pending to the state: the items, the phase
-        (which now holds the diagonal ones), then the blocks."""
-        for item in dict.fromkeys(self.items.values()):
-            self._apply_item(item)
-        self._apply_phase()
-        for band in list(self.blocks):
-            self._apply_block(band)
+
+_PASS_KINDS = {"move": _move, "gemm": _gemm, "phase": _phase_pass}
+
+
+def _execute(amps: np.ndarray, passes: list[tuple], scratch: np.ndarray) -> None:
+    """Run ``passes`` over ``amps`` in order, through one scratch.  Each
+    entry of ``passes`` is set to None as it runs, so that a GEMM's block
+    is freed once it has run."""
+    for i, (kind, *args) in enumerate(passes):
+        passes[i] = None
+        _PASS_KINDS[kind](amps, *args, scratch)
+
+
+def plan(c: Circuit, precision: str = "double") -> list[tuple]:
+    """The passes ``run`` makes over the state of ``c`` at ``precision``, in
+    the format of the module docstring, planned without the state.  A bad
+    op raises as in ``run``."""
+    scratch = np.empty(TILE, dtype=_DTYPES[precision])
+    return _Kernel(c.num_qubits, scratch).plan(c.unitary_ops)
+
+
+def pass_counts(passes: list[tuple]) -> dict[str, int]:
+    """The number of passes of each kind: block moves, GEMMs, phase passes."""
+    return {kind: sum(p[0] == kind for p in passes) for kind in _PASS_KINDS}
 
 
 def apply_gate(sv: StateVector, op: GateOp) -> StateVector:
     """Apply one gate in place and return the same state vector.
 
-    The gate goes through the same kernel as in ``run``, which then applies
-    it at once: a dense gate (H, RX, RY) as a block of its own, one tiled
-    GEMM (over ``amps.reshape(-1, d)`` on qubits below 5), and a diagonal
-    or permutation gate by block moves.  Either way the gate allocates at
+    The gate is planned as in ``run`` and applied at once: a dense gate
+    (H, RX, RY) as a block of its own, one tiled GEMM, and a diagonal or
+    permutation gate as one block move.  Either way the gate allocates at
     most a scratch of ``TILE`` amplitudes and a block of ``2^10``, and it
     runs on one BLAS thread, restoring the caller's BLAS thread count
     afterwards.
     """
-    kernel = _Kernel(sv)
+    scratch = np.empty(TILE, dtype=sv.amps.dtype)
     with blas.single_thread():
-        kernel.apply(op)
-        kernel.flush()
+        _execute(sv.amps, _Kernel(sv.num_qubits, scratch).plan([op]), scratch)
     return sv
 
 
@@ -629,40 +659,31 @@ def run(
 ) -> StateVector:
     """Evolve |0...0> through every unitary op of ``c`` in order.
 
-    Gates stay pending as the module docstring describes: a gate within one
-    band of 5 qubits in the band's block when it is dense or meets the
-    block, every other gate as a 2x2 or 4x4 item with one nonzero per row,
-    fused with the items that share its qubits while the product stays on
-    two qubits.  Pending gates are applied before a gate that touches them
-    and cannot join them, each block as one GEMM, and whatever is left at
-    the end.  A diagonal item is parked in the pending phase instead, which
-    is applied before any other pending gate that meets its qubits and at
-    the end after the items and before the blocks: as its gates' block
-    moves when it holds at most ``PHASE_PASS_GATES`` gates, else as one
-    phase pass.  The whole gate loop runs on one BLAS thread and restores
-    the caller's BLAS thread count afterwards.  Beyond the state itself,
-    ``run`` holds a scratch of ``TILE`` amplitudes, up to ``ceil(n/5)``
-    blocks of at most ``2^10`` elements, the items, the phase's ``n^2``
-    angles and, during a phase pass, tables of ``O(2^(n/2))`` entries.  It
-    logs one DEBUG record on the ``qcsim.statevector`` logger: the gate
-    count and the passes over the state, split into block moves, GEMMs and
-    phase passes.
+    ``run`` checks the qubit budget, plans the passes (so a bad op raises
+    before the state is allocated), then allocates the state and executes
+    them, planning and executing on one BLAS thread and restoring the
+    caller's BLAS thread count afterwards.  Beyond the state itself it
+    holds a scratch of ``TILE`` amplitudes, the plan (each GEMM's matrix a
+    view of a block of at most ``2^10`` elements, each phase pass's
+    ``n^2`` angles) and, during a phase pass, tables of ``O(2^(n/2))``
+    entries.  It logs one DEBUG record on the ``qcsim.statevector`` logger:
+    the gate count and the plan's passes over the state, split into block
+    moves, GEMMs and phase passes.
 
     Trailing measurement markers are skipped; sample the result instead.
     """
-    sv = init_zero(c.num_qubits, precision, max_qubits)
-    kernel = _Kernel(sv)
+    _check_capacity(c.num_qubits, precision, max_qubits)
+    scratch = np.empty(TILE, dtype=_DTYPES[precision])
     ops = c.unitary_ops
     with blas.single_thread():
-        for op in ops:
-            kernel.apply(op)
-        kernel.flush()
+        passes = _Kernel(c.num_qubits, scratch).plan(ops)
+        counts = pass_counts(passes)
+        sv = init_zero(c.num_qubits, precision, max_qubits)
+        _execute(sv.amps, passes, scratch)
     _log.debug(
         "run %s: %d gates, %d passes over the state "
         "(%d block moves, %d GEMMs, %d phase passes)",
-        c.name or "circuit", len(ops),
-        kernel.moves + kernel.gemms + kernel.phase_passes,
-        kernel.moves, kernel.gemms, kernel.phase_passes,
+        c.name or "circuit", len(ops), len(passes), *counts.values(),
     )
     return sv
 

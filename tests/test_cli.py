@@ -73,11 +73,13 @@ def test_simulate_bell_sv(tmp_path, capsys):
     src = tmp_path / "bell.qasm"
     src.write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n")
     code, out, _ = run_cli(capsys, "simulate", "--in", str(src),
-                           "--backend", "sv", "--warmup", "0", "--reps", "1")
+                           "--backend", "sv", "--warmup", "0", "--reps", "1", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["top_outcomes"]["00"] == pytest.approx(0.5)
     assert payload["top_outcomes"]["11"] == pytest.approx(0.5)
+    # CNOT joins the block H starts on band 0: the plan is one GEMM.
+    assert payload["passes"] == {"move": 0, "gemm": 1, "phase": 0}
 
 
 def test_simulate_bell_tn_matches(tmp_path, capsys):

@@ -18,6 +18,8 @@ from qcsim.statevector import (
     apply_gate,
     distribution,
     init_zero,
+    pass_counts,
+    plan,
     run,
     sample,
     sv_memory_bytes,
@@ -397,21 +399,50 @@ def test_run_equals_gate_by_gate_at_16_qubits(family):
     np.testing.assert_allclose(run(c).amps, sv.amps, rtol=0, atol=1e-12)
 
 
-# Passes over the state (block moves + GEMMs + phase passes) that ``run``
-# makes on each family at 16 qubits.
-_PASSES_AT_16 = {
-    Family.QAOA: 9, Family.RANDOM: 85, Family.QPE: 17, Family.QFT: 32,
-    Family.VQE: 19, Family.HAMILTONIAN: 5, Family.HIDDEN_SHIFT: 10, Family.BERNSTEIN_VAZIRANI: 15,
+def _counts(passes: list[tuple]) -> tuple[int, int, int]:
+    """(block moves, GEMMs, phase passes) of a plan."""
+    return tuple(pass_counts(passes).values())
+
+
+# (block moves, GEMMs, phase passes) that ``run`` makes on each family at
+# 16 and at 18 qubits: the circuits of the sv-dist benchmark, 409 passes.
+_PASSES = {
+    Family.QAOA: ((0, 8, 1), (0, 8, 1)),
+    Family.RANDOM: ((58, 27, 0), (75, 34, 0)),
+    Family.QPE: ((8, 6, 3), (9, 8, 4)),
+    Family.QFT: ((14, 16, 2), (9, 16, 3)),
+    Family.VQE: ((11, 8, 0), (12, 8, 0)),
+    Family.HAMILTONIAN: ((0, 4, 1), (0, 4, 1)),
+    Family.HIDDEN_SHIFT: ((2, 8, 0), (2, 8, 0)),
+    Family.BERNSTEIN_VAZIRANI: ((8, 7, 0), (8, 7, 0)),
 }
 
 
 @pytest.mark.parametrize("family", list(Family))
-def test_run_passes_stay_within_their_counts(caplog, family):
-    c = generate(GeneratorSpec(family, 16))
-    with caplog.at_level(logging.DEBUG, logger="qcsim.statevector"):
-        run(c)
-    [record] = [r for r in caplog.records if r.name == "qcsim.statevector"]
-    assert record.args[2] <= _PASSES_AT_16[family], record.getMessage()
+def test_run_passes_stay_within_their_counts(family):
+    # Planned without a state; a change to fusion shows up here.
+    for n, passes in zip((16, 18), _PASSES[family]):
+        assert _counts(plan(generate(GeneratorSpec(family, n)))) == passes, n
+
+
+def test_plan_needs_no_state():
+    # 2^40 amplitudes would take 16 TiB.  An H layer is one GEMM per band;
+    # CNOT RZ CNOT across bands applies the blocks and parks one diagonal
+    # item per pair, 20 in all, which make one phase pass.
+    n = 40
+    c = Circuit(n)
+    for q in range(n):
+        c.h(q)
+    for q in range(20):
+        c.cnot(q, q + 20).rz(q + 20, 0.1 * q).cnot(q, q + 20)
+    tracemalloc.start()
+    try:
+        passes = plan(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _counts(passes) == (0, 8, 1)
+    assert peak < 2 << 20, peak
 
 
 def _cnot_rz_cnot(a: int, b: int) -> list[GateOp]:
@@ -461,6 +492,7 @@ def _cp_chain(length: int) -> list[GateOp]:
 def test_run_logs_its_passes_over_the_state(caplog, ops, passes):
     c = Circuit(16, name="pattern")
     c.ops.extend(ops)
+    assert _counts(plan(c)) == passes
     with caplog.at_level(logging.DEBUG, logger="qcsim.statevector"):
         amps = run(c).amps
     [record] = [r for r in caplog.records if r.name == "qcsim.statevector"]
@@ -504,12 +536,19 @@ def test_run_on_registers_no_wider_than_the_low_block(n):
     (7, GateOp(GateKind.RZ, (7,), 0.5)),
     (3, GateOp(GateKind.X, (3,))),  # band 0 covers the register
     (3, GateOp(GateKind.SWAP, (0, -2))),
+    (20, GateOp(GateKind.CNOT, (3, 20))),  # a 16 MiB state, which run must not allocate
 ])
 def test_out_of_range_qubit_raises_fused_or_not(n, op):
     c = Circuit(n).h(0)
     c.ops.append(op)  # bypasses Circuit.add's check
-    with pytest.raises(ValueError, match="outside register"):
-        run(c)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="outside register"):
+            run(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # the plan's scratch and block, not the state
     with pytest.raises(ValueError, match="outside register"):
         apply_gate(init_zero(n), op)
 
@@ -548,7 +587,7 @@ def test_apply_gate_allocates_less_than_two_states(kind):
         assert peak < limit, (op, peak / state_bytes)
 
 
-def test_run_holds_no_state_sized_temporary(caplog):
+def test_run_holds_no_state_sized_temporary():
     # Every gate kind, on band 0, across bands and above band 0, then a run
     # of diagonal gates between bands 1 and 2 that makes a phase pass (a
     # gate within one band could join its band's pending block instead).
@@ -561,15 +600,13 @@ def test_run_holds_no_state_sized_temporary(caplog):
             c.add(kind, *qubits, angle=angle)
     c.ops.extend(GateOp(GateKind.CP, (a, b), 0.3 + 0.1 * a + 0.2 * b)
                  for a in range(5, 10) for b in (10, 11))
+    assert pass_counts(plan(c))["phase"] == 1
     tracemalloc.start()
     try:
-        with caplog.at_level(logging.DEBUG, logger="qcsim.statevector"):
-            sv = run(c)
+        sv = run(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    [record] = [r for r in caplog.records if r.name == "qcsim.statevector"]
-    assert record.args[-1] == 1  # one phase pass
     assert (peak - sv.amps.nbytes) / sv.amps.nbytes < 0.5
     np.testing.assert_allclose(sv.norm(), 1.0, atol=1e-12)
 
@@ -580,41 +617,33 @@ def test_phase_pass_holds_tables_of_a_root_of_the_state():
     # qubits 2^10 is the square root of the state.
     n = 20
     rng = np.random.default_rng(0)
-    sv = _random_state(n, "double")
-    kernel = statevector._Kernel(sv)
+    c = Circuit(n)
     for a, b in itertools.combinations(range(5, n), 2):
-        kernel.apply(GateOp(GateKind.RZZ, (a, b), float(rng.uniform(-3, 3))))
-    kernel.scratch  # allocated before, as the gates before a pass would
+        c.add(GateKind.RZZ, a, b, angle=float(rng.uniform(-3, 3)))
+    [(kind, *args)] = plan(c)
+    assert kind == "phase"
+    sv = _random_state(n, "double")
+    scratch = np.empty(TILE, dtype=sv.amps.dtype)  # allocated before, as run's is
     tracemalloc.start()
     try:
-        kernel.flush()
+        statevector._phase_pass(sv.amps, *args, scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (kernel.moves, kernel.phase_passes) == (0, 1)
     assert peak < 8192 * 16 + 16 * (1 << n // 2) * 16, peak
 
 
 @pytest.mark.parametrize("kind", sorted(_DIAGONAL_KINDS, key=lambda k: k.name),
                          ids=lambda k: k.name)
-def test_apply_gate_of_a_diagonal_gate_is_one_block_move(monkeypatch, kind):
-    moves = []
-    move = statevector._Kernel._move
-
-    def counting_move(kernel, blocks, u):
-        moves.append(len(blocks))
-        move(kernel, blocks, u)
-
-    def no_pass(*args):
-        raise AssertionError("a phase pass for one gate")
-
-    monkeypatch.setattr(statevector._Kernel, "_move", counting_move)
-    monkeypatch.setattr(statevector, "_phase_pass", no_pass)
+def test_apply_gate_of_a_diagonal_gate_is_one_block_move(kind):
     op = GateOp(kind, (7,) if kind.arity == 1 else (7, 2), 0.73 if kind.is_parameterized else None)
+    c = Circuit(10)
+    c.ops.append(op)
+    [(pass_kind, qubits, u)] = plan(c)  # as apply_gate plans it
+    assert (pass_kind, qubits, len(u)) == ("move", op.qubits, 2 * kind.arity)
     sv = _random_state(10, "double")
     expected = dense_apply(sv.amps.copy(), op, 10)
     apply_gate(sv, op)
-    assert moves == [2 * kind.arity]
     np.testing.assert_allclose(sv.amps, expected, atol=1e-12)
 
 
@@ -636,14 +665,17 @@ def test_run_pins_blas_to_one_thread_and_restores_the_callers_count(monkeypatch,
     fake = _FakeBlas(caller_threads)
     monkeypatch.setattr(blas, "controls", lambda: (fake.set, fake.get))
     seen = []
-    flush = statevector._Kernel.flush
+    zero = statevector.init_zero
 
-    def recording_flush(kernel):
+    def recording_init_zero(*args):
+        # run allocates its state, then runs the plan's passes, in one
+        # pinned block.
         seen.append(fake.threads)
-        flush(kernel)
+        return zero(*args)
 
-    monkeypatch.setattr(statevector._Kernel, "flush", recording_flush)
+    monkeypatch.setattr(statevector, "init_zero", recording_init_zero)
     c = generate(GeneratorSpec(Family.RANDOM, 8, seed=1))
+    assert pass_counts(plan(c))["gemm"]
     np.testing.assert_allclose(run(c).amps, dense_run(c), atol=1e-10)
     assert seen and set(seen) == {1}
     assert fake.threads == caller_threads
