@@ -2,8 +2,10 @@
 
 Subcommands: generate, metrics, simulate, pathstudy, scaling, memory,
 advise.  Exit codes: 0 success, 2 usage/configuration, 3 capacity,
-4 parse error.  ``QCSIM_MAX_QUBITS`` overrides the qubit budget, which
-otherwise follows the memory the process can have.
+4 parse error.  Work over the one memory budget exits 3, whichever backend
+refuses it: a state vector, a contraction step or a distribution's output.
+The budget follows the memory the process can have, and
+``QCSIM_MAX_QUBITS`` overrides it for every such refusal.
 """
 from __future__ import annotations
 

@@ -37,6 +37,14 @@ from . import statevector as sv_backend
 from . import tensornet as tn_backend
 from .tensornet import PathfinderConfig
 
+# ``bench_simulate``'s TN output: the full distribution up to this many
+# qubits, else the all-zeros amplitude.  An output policy, not a memory
+# rule: at 21-22 qubits the open plans of qft, qpe and random (8 samples,
+# seed 0) step at 2^29 to 2^38 elements, over the default budget of 2^28
+# on a 7.8 GiB machine, where the closed plans of qft and qpe fit at 2^24
+# to 2^27.
+TN_DISTRIBUTION_QUBITS = 20
+
 
 def timed(fn, warmup: int, reps: int) -> tuple[list[float], object]:
     """Run ``fn`` ``warmup + reps`` times; return measured times and the
@@ -91,7 +99,7 @@ def bench_simulate(
         mem = sv_backend.sv_memory_bytes(n, precision)
     elif backend == "tn":
         # Plan once, outside the timed contraction, on the network that runs.
-        wants_distribution = n <= tn_backend.DEFAULT_ENUMERATION_GUARD
+        wants_distribution = n <= TN_DISTRIBUTION_QUBITS
         net = tn_backend.build_network(c, None if wants_distribution else "0" * n)
         t0 = time.perf_counter()
         plan = tn_backend.find_path(net, cfg)
@@ -102,7 +110,7 @@ def bench_simulate(
             work = lambda: complex(tn_backend.contract(net, plan).data.reshape(()))
         times, result = timed(work, warmup, reps)
         samples, peak = cfg.num_samples, plan.est_peak_elements
-        mem = tn_backend.step_footprint(net, plan) * 16  # complex128
+        mem = tn_backend.step_footprint(net, plan) * sv_backend.ELEMENT_BYTES
         precision = "double"
     else:
         raise ConfigError(f"unknown backend {backend!r}; use sv, tn or auto")

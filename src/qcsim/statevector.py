@@ -95,6 +95,15 @@ qubits.
 GEMMs run on one BLAS thread (``blas.single_thread``), and the caller's
 thread count is restored afterwards: at these sizes OpenBLAS's threads cost
 more than they save.
+
+One memory budget bounds both backends: ``2^q`` complex elements, ``q``
+being ``budget_qubits()``, that is ``QCSIM_MAX_QUBITS`` when it is set, else
+the largest ``q`` whose ``2^q`` complex128 elements fit in the memory the
+process can have.  The elements counted are what one piece of work holds at
+once: the ``2^n`` amplitudes of a state vector or of a full output
+distribution, and the largest step of a contraction plan (both operands plus
+the output, per slice).  ``check_budget`` refuses work over the budget with
+``CapacityError`` before anything of it is allocated.
 """
 from __future__ import annotations
 
@@ -116,12 +125,11 @@ FALLBACK_MAX_QUBITS = 30
 _ENV_MAX_QUBITS = "QCSIM_MAX_QUBITS"
 _MEMINFO = "/proc/meminfo"
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
-# The budget counts complex128 elements, the widest amplitude either
-# backend stores.
-_BUDGET_BYTES_PER_ELEMENT = 16
+# Bytes of a complex128 element, the widest amplitude either backend
+# stores: the budget counts such elements, and the tensor network holds them.
+ELEMENT_BYTES = 16
 
-_DTYPES = {"single": np.complex64, "double": np.complex128}
-_BYTES_PER_AMP = {"single": 8, "double": 16}
+_DTYPES = {"single": np.dtype(np.complex64), "double": np.dtype(np.complex128)}
 
 # Band b, whose gates may fuse into one block, covers qubits
 # FUSED_QUBITS * b up to FUSED_QUBITS * (b + 1) - 1.
@@ -164,13 +172,11 @@ def _available_bytes() -> int | None:
     return min(available, int(cap)) if cap.isdigit() else available
 
 
-def _resolve_max_qubits(max_qubits: int | None) -> int:
-    """The qubit budget: ``max_qubits`` if given, else ``QCSIM_MAX_QUBITS``,
-    else the largest ``q`` whose ``2^q`` complex128 elements fit in the
-    memory the process can have.  A ``QCSIM_MAX_QUBITS`` that is not a
-    non-negative integer raises ``ConfigError``."""
-    if max_qubits is not None:
-        return max_qubits
+def budget_qubits() -> int:
+    """The ``q`` of the budget of ``2^q`` elements (module docstring);
+    ``FALLBACK_MAX_QUBITS`` when the memory the process can have cannot be
+    read.  A ``QCSIM_MAX_QUBITS`` that is not a non-negative integer raises
+    ``ConfigError``."""
     env = os.environ.get(_ENV_MAX_QUBITS)
     if env:
         if not env.strip().isdecimal():
@@ -179,12 +185,33 @@ def _resolve_max_qubits(max_qubits: int | None) -> int:
     available = _available_bytes()
     if available is None:
         return FALLBACK_MAX_QUBITS
-    return max(available // _BUDGET_BYTES_PER_ELEMENT, 1).bit_length() - 1
+    return max(available // ELEMENT_BYTES, 1).bit_length() - 1
+
+
+def check_budget(elements: int, what: str, itemsize: int = ELEMENT_BYTES) -> None:
+    """Raise ``CapacityError`` when ``elements`` of ``itemsize`` bytes,
+    which ``what`` needs, are more than the budget of ``2^q`` elements."""
+    q = budget_qubits()
+    if elements > 1 << q:
+        required = elements * itemsize
+        raise CapacityError(
+            f"{what} needs {required} bytes ({elements} elements), over the "
+            f"{q}-qubit budget of 2^{q} elements; set {_ENV_MAX_QUBITS} to override",
+            required_bytes=required,
+        )
+
+
+def precision_dtype(precision: str) -> np.dtype:
+    """The amplitude dtype of ``precision``, 'single' or 'double'; any other
+    precision raises ``ValueError``."""
+    if precision not in _DTYPES:
+        raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
+    return _DTYPES[precision]
 
 
 def sv_memory_bytes(n: int, precision: str = "single") -> int:
     """Bytes needed for the amplitudes of an ``n``-qubit state vector."""
-    return (1 << n) * _BYTES_PER_AMP[precision]
+    return (1 << n) * precision_dtype(precision).itemsize
 
 
 @dataclass
@@ -203,30 +230,19 @@ class StateVector:
         return StateVector(self.num_qubits, self.amps.copy())
 
 
-def _check_capacity(n: int, precision: str, max_qubits: int | None) -> None:
-    """Refuse an ``n``-qubit state beyond the qubit budget, fewer than one
-    qubit, or a precision other than 'single' and 'double'."""
+def _check_capacity(n: int, precision: str) -> None:
+    """Refuse an ``n``-qubit state over the budget, fewer than one qubit,
+    or a precision other than 'single' and 'double'."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    if precision not in _DTYPES:
-        raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
-    limit = _resolve_max_qubits(max_qubits)
-    if n > limit:
-        required = sv_memory_bytes(n, precision)
-        raise CapacityError(
-            f"{n}-qubit state vector needs {required} bytes "
-            f"({precision} precision), over the {limit}-qubit budget; "
-            f"set {_ENV_MAX_QUBITS} to override",
-            required_bytes=required,
-        )
+    check_budget(1 << n, f"{n}-qubit state vector ({precision} precision)",
+                 precision_dtype(precision).itemsize)
 
 
-def init_zero(
-    n: int, precision: str = "double", max_qubits: int | None = None
-) -> StateVector:
-    """|0...0> on ``n`` qubits; refuses sizes beyond the qubit budget."""
-    _check_capacity(n, precision, max_qubits)
-    amps = np.zeros(1 << n, dtype=_DTYPES[precision])
+def init_zero(n: int, precision: str = "double") -> StateVector:
+    """|0...0> on ``n`` qubits; refuses sizes over the budget."""
+    _check_capacity(n, precision)
+    amps = np.zeros(1 << n, dtype=precision_dtype(precision))
     amps[0] = 1.0
     return StateVector(n, amps)
 
@@ -629,7 +645,7 @@ def plan(c: Circuit, precision: str = "double") -> list[tuple]:
     """The passes ``run`` makes over the state of ``c`` at ``precision``, in
     the format of the module docstring, planned without the state.  A bad
     op raises as in ``run``."""
-    scratch = np.empty(TILE, dtype=_DTYPES[precision])
+    scratch = np.empty(TILE, dtype=precision_dtype(precision))
     return _Kernel(c.num_qubits, scratch).plan(c.unitary_ops)
 
 
@@ -654,9 +670,7 @@ def apply_gate(sv: StateVector, op: GateOp) -> StateVector:
     return sv
 
 
-def run(
-    c: Circuit, precision: str = "double", max_qubits: int | None = None
-) -> StateVector:
+def run(c: Circuit, precision: str = "double") -> StateVector:
     """Evolve |0...0> through every unitary op of ``c`` in order.
 
     ``run`` checks the qubit budget, plans the passes (so a bad op raises
@@ -672,13 +686,13 @@ def run(
 
     Trailing measurement markers are skipped; sample the result instead.
     """
-    _check_capacity(c.num_qubits, precision, max_qubits)
-    scratch = np.empty(TILE, dtype=_DTYPES[precision])
+    _check_capacity(c.num_qubits, precision)
+    scratch = np.empty(TILE, dtype=precision_dtype(precision))
     ops = c.unitary_ops
     with blas.single_thread():
         passes = _Kernel(c.num_qubits, scratch).plan(ops)
         counts = pass_counts(passes)
-        sv = init_zero(c.num_qubits, precision, max_qubits)
+        sv = init_zero(c.num_qubits, precision)
         _execute(sv.amps, passes, scratch)
     _log.debug(
         "run %s: %d gates, %d passes over the state "

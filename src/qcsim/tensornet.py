@@ -14,10 +14,9 @@ distribution contracts the open network once to the n-qubit output state
 and squares it.  ``contract`` is the one plan executor: it runs sliced and
 unsliced plans alike, an unsliced plan being one slice with no label fixed.
 Before any contraction allocates, the plan's largest step footprint (both
-operands plus the output, per slice when sliced) is checked against the
-state vector's budget of ``2^q`` elements (``q`` from ``QCSIM_MAX_QUBITS``,
-else from the memory the process can have), and a plan over it raises
-``CapacityError``.
+operands plus the output, per slice when sliced), and for a distribution
+first its ``2^n`` output, is checked against the one memory budget of
+``statevector.check_budget``; work over it raises ``CapacityError``.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
 keeps the plan with the lowest estimated FLOP count.  The cost of a pairwise
@@ -36,8 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Circuit
-from .errors import CapacityError, ConfigError, StructuralError, UnsupportedOpError
-from .statevector import _ENV_MAX_QUBITS, OutputDistribution, _resolve_max_qubits
+from .errors import ConfigError, StructuralError, UnsupportedOpError
+from .statevector import OutputDistribution, check_budget, precision_dtype
 
 _BASIS = (np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128))
 
@@ -102,8 +101,7 @@ class TensorNetwork:
 
 def tn_memory_bytes(net: TensorNetwork, precision: str = "single") -> int:
     """Total bytes of all tensor elements at the given complex precision."""
-    bytes_per = 8 if precision == "single" else 16
-    return sum(t.data.size for t in net.tensors) * bytes_per
+    return sum(t.data.size for t in net.tensors) * precision_dtype(precision).itemsize
 
 
 def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwork:
@@ -269,13 +267,21 @@ def _replay_record(
     sets: list[frozenset[str]],
 ) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
     """Replay ``steps`` over ``sets``: each step's index union, and every
-    tensor's index set (the inputs, then each step's output)."""
+    tensor's index set (the inputs, then each step's output).  Steps that
+    are not a full binary contraction of ``num_tensors`` tensors, one per
+    set, raise ``StructuralError``."""
+    if num_tensors != len(sets):
+        raise StructuralError(f"plan is for {num_tensors} tensors, network has {len(sets)}")
+    if len(steps) != max(num_tensors - 1, 0):
+        raise StructuralError("plan is not a full binary contraction")
     buf: dict[int, frozenset[str]] = dict(enumerate(sets))
     unions: list[frozenset[str]] = []
     tensors = list(sets)
     next_id = num_tensors
     for i, j in steps:
-        a, b = buf.pop(i), buf.pop(j)
+        a, b = buf.pop(i, None), buf.pop(j, None)
+        if a is None or b is None:
+            raise StructuralError(f"step ({i}, {j}) references unavailable tensors")
         unions.append(a | b)
         out = a ^ b
         tensors.append(out)
@@ -380,30 +386,11 @@ def find_path(net: TensorNetwork, cfg: PathfinderConfig) -> ContractionPlan:
     )
 
 
-def _check_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
-    if plan.num_tensors != len(net.tensors):
-        raise StructuralError(
-            f"plan is for {plan.num_tensors} tensors, network has {len(net.tensors)}"
-        )
-    if len(plan.steps) != max(len(net.tensors) - 1, 0):
-        raise StructuralError("plan is not a full binary contraction")
-    live = set(range(len(net.tensors)))
-    next_id = len(net.tensors)
-    for i, j in plan.steps:
-        if i not in live or j not in live or i == j:
-            raise StructuralError(f"step ({i}, {j}) references unavailable tensors")
-        live.discard(i)
-        live.discard(j)
-        live.add(next_id)
-        next_id += 1
-
-
 def step_footprint(net: TensorNetwork, plan: ContractionPlan) -> int:
     """Elements the plan's largest step holds at once: both operands plus
     the output, per slice for a sliced plan; the largest input tensor for
     a plan without steps.  A plan that does not fit ``net`` raises
     ``StructuralError``."""
-    _check_plan(net, plan)
     _, sets = _replay_record(
         plan.num_tensors, plan.steps, _index_sets(net, frozenset(plan.sliced_labels))
     )
@@ -416,21 +403,10 @@ def step_footprint(net: TensorNetwork, plan: ContractionPlan) -> int:
 
 
 def _check_budget(net: TensorNetwork, plan: ContractionPlan) -> None:
-    """Raise ``CapacityError`` when the plan's ``step_footprint`` exceeds
-    the state vector's budget of ``2^q`` elements
-    (``statevector._resolve_max_qubits``); every contraction entry point
-    calls this before it allocates.  A plan that does not fit ``net``
-    raises ``StructuralError``."""
-    footprint = step_footprint(net, plan)
-    limit = _resolve_max_qubits(None)
-    if footprint > 1 << limit:
-        required = footprint * 16
-        raise CapacityError(
-            f"contraction step holds {footprint} elements ({required} bytes) "
-            f"with its operands, over the 2^{limit}-element budget; "
-            f"set {_ENV_MAX_QUBITS} to override",
-            required_bytes=required,
-        )
+    """Refuse a plan whose ``step_footprint`` is over the budget; every
+    contraction entry point calls this before it allocates.  A plan that
+    does not fit ``net`` raises ``StructuralError``."""
+    check_budget(step_footprint(net, plan), "the plan's largest contraction step")
 
 
 def contract(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
@@ -531,8 +507,6 @@ def choose_slices(
 
 # -- circuit-level entry points -----------------------------------------
 
-DEFAULT_ENUMERATION_GUARD = 20
-
 
 def build_network(c: Circuit, bitstring: str | None = None) -> TensorNetwork:
     """The network every entry point plans on: ``circuit_to_network`` with
@@ -574,17 +548,9 @@ def reconstruct_distribution(
 ) -> OutputDistribution:
     """Full output distribution from one contraction of the open network.
 
-    Circuits wider than ``DEFAULT_ENUMERATION_GUARD`` qubits are refused up
-    front; otherwise ``contract`` checks the plan's largest step against
-    the state-vector budget before contracting.
+    A ``2^n``-element output over the budget is refused before the network
+    is built or planned; ``contract`` then checks the plan's largest step.
     """
-    n = c.num_qubits
-    if n > DEFAULT_ENUMERATION_GUARD:
-        required = (1 << n) * 16
-        raise CapacityError(
-            f"the 2^{n}-amplitude output state needs {required} bytes, over "
-            f"the {DEFAULT_ENUMERATION_GUARD}-qubit limit of the full distribution",
-            required_bytes=required,
-        )
+    check_budget(1 << c.num_qubits, f"the {c.num_qubits}-qubit output state")
     net = build_network(c)
     return distribution_from_plan(net, find_path(net, cfg or PathfinderConfig()))

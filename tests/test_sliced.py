@@ -161,6 +161,7 @@ def test_run_sliced_checks_the_per_slice_budget(monkeypatch):
     with pytest.raises(CapacityError) as info:
         run_sliced(c, "0" * 10, CFG, WorkerPoolConfig(workers=2), slices=2, executor=executor)
     assert info.value.required_bytes == 3072 * 16
+    assert "QCSIM_MAX_QUBITS" in str(info.value)
     assert all(fn is not sliced._contract_shard for fn, _ in executor.calls)
     r = run_sliced(c, "0" * 10, CFG, WorkerPoolConfig(workers=2), slices=8, executor=executor)
     assert r.result == pytest.approx(expected, abs=1e-12)

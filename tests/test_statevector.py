@@ -29,7 +29,9 @@ from qcsim.tensornet import (
     Tensor,
     TensorNetwork,
     _check_budget,
+    circuit_to_network,
     reconstruct_distribution,
+    tn_memory_bytes,
 )
 
 from conftest import dense_apply, dense_run, draw_gates
@@ -52,6 +54,7 @@ def test_init_zero_capacity_error_names_bytes(monkeypatch):
         init_zero(31, precision="single")
     assert err.value.required_bytes == (1 << 31) * 8
     assert str((1 << 31) * 8) in str(err.value)
+    assert "QCSIM_MAX_QUBITS" in str(err.value)
 
 
 def test_capacity_env_override(monkeypatch):
@@ -91,7 +94,7 @@ def test_default_budget_follows_available_memory(monkeypatch):
     _check_budget(one_tensor(11), plan)
     monkeypatch.delenv("QCSIM_MAX_QUBITS")
     monkeypatch.setattr(statevector, "_available_bytes", lambda: None)
-    assert statevector._resolve_max_qubits(None) == statevector.FALLBACK_MAX_QUBITS
+    assert statevector.budget_qubits() == statevector.FALLBACK_MAX_QUBITS
 
 
 @pytest.mark.parametrize("cgroup_max, expected", [
@@ -224,6 +227,18 @@ def test_sample_seed_determinism(bell):
     sv = run(bell)
     assert sample(sv, 500, seed=7) == sample(sv, 500, seed=7)
     assert sample(sv, 500, seed=7) != sample(sv, 500, seed=8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: plan(Circuit(3).h(0), "quad"),
+    lambda: run(Circuit(3).h(0), "quad"),
+    lambda: init_zero(3, "quad"),
+    lambda: sv_memory_bytes(3, "quad"),
+    lambda: tn_memory_bytes(circuit_to_network(Circuit(3).h(0)), "quad"),
+], ids=["plan", "run", "init_zero", "sv_memory_bytes", "tn_memory_bytes"])
+def test_unknown_precision_raises_value_error(call):
+    with pytest.raises(ValueError, match="'quad'"):
+        call()
 
 
 def test_sv_memory_bytes():

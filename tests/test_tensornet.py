@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,9 +281,24 @@ def test_reconstruct_normalized():
     assert d.probs.sum() == pytest.approx(1.0, abs=1e-6)
 
 
-def test_reconstruct_guard():
-    with pytest.raises(CapacityError):
-        reconstruct_distribution(Circuit(tensornet.DEFAULT_ENUMERATION_GUARD + 1))
+def test_reconstruct_refuses_an_output_over_budget_before_planning(monkeypatch):
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "5")
+
+    def no_planning(*args):
+        raise AssertionError("planned a network whose output is over budget")
+
+    monkeypatch.setattr(tensornet, "find_path", no_planning)
+    with pytest.raises(CapacityError) as info:
+        reconstruct_distribution(Circuit(6))
+    assert info.value.required_bytes == (1 << 6) * 16
+    assert "QCSIM_MAX_QUBITS" in str(info.value)
+
+
+def test_reconstruct_past_twenty_qubits_within_budget(monkeypatch):
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "22")
+    c = Circuit(21).h(0).cnot(0, 1)
+    tn_d = reconstruct_distribution(c)
+    np.testing.assert_array_equal(tn_d.probs, distribution(run(c)).probs)
 
 
 def test_reconstruct_idle_wire():
@@ -346,6 +362,7 @@ def test_amplitude_refuses_peak_over_budget(monkeypatch):
     with pytest.raises(CapacityError) as info:
         amplitude(c, "0" * 10, cfg)
     assert info.value.required_bytes == 5120 * 16
+    assert "QCSIM_MAX_QUBITS" in str(info.value)
     # Two slices still peak at 2^10 elements per slice (3072 per step).
     net = build_network(c, "0" * 10)
     sliced = choose_slices(net, plan, 2)
@@ -365,6 +382,7 @@ def test_distribution_within_budget(monkeypatch):
     with pytest.raises(CapacityError) as info:
         reconstruct_distribution(c)
     assert info.value.required_bytes == 84 * 16
+    assert "QCSIM_MAX_QUBITS" in str(info.value)
 
 
 # -- slicing ----------------------------------------------------------------
@@ -477,12 +495,18 @@ def test_choose_slices_matches_reference_on_random_circuits(case, seed, target, 
     assert choose_slices(net, sliced, again) == reference_choose_slices(net, sliced, again)
 
 
-def test_plan_network_mismatch_detected(bell):
+@pytest.mark.parametrize("malformed", [
+    lambda net, plan: (circuit_to_network(Circuit(3).h(0), None), plan),
+    lambda net, plan: (net, replace(plan, steps=plan.steps[:-1])),
+    lambda net, plan: (net, replace(plan, steps=((0, 0),) + plan.steps[1:])),
+    lambda net, plan: (net, replace(plan, steps=plan.steps[:-1] + ((0, 1),))),
+], ids=["another-network", "partial", "repeated-id", "unavailable-id"])
+def test_plan_network_mismatch_detected(bell, malformed):
     net = circuit_to_network(bell, "00")
     plan = find_path(net, PathfinderConfig(num_samples=1))
-    other = circuit_to_network(Circuit(3).h(0), None)
+    net, plan = malformed(net, plan)
     with pytest.raises(StructuralError):
-        contract(other, plan)
+        contract(net, plan)
 
 
 # -- rank-absorption and peak behaviour -------------------------------------
