@@ -189,8 +189,7 @@ def _distribution_payload(dist) -> dict:
 def _simulate_one(circuit, backend, args):
     cfg = PathfinderConfig(num_samples=args.samples, seed=args.seed or 0)
     result, rows = harness.bench_simulate(
-        circuit, backend, args.precision, cfg, args.warmup, args.reps,
-        seed=args.seed or 0)
+        circuit, backend, args.precision, cfg, args.warmup, args.reps)
     if hasattr(result, "probs"):
         payload = _distribution_payload(result)
     else:

@@ -48,7 +48,10 @@ TN_DISTRIBUTION_QUBITS = 20
 
 def timed(fn, warmup: int, reps: int) -> tuple[list[float], object]:
     """Run ``fn`` ``warmup + reps`` times; return measured times and the
-    last result.  ``reps`` below 1 raises ``ConfigError``."""
+    last result.  ``warmup`` below 0 or ``reps`` below 1 raises
+    ``ConfigError``."""
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     for _ in range(warmup):
@@ -77,7 +80,6 @@ def bench_simulate(
     cfg: PathfinderConfig | None = None,
     warmup: int = 3,
     reps: int = 10,
-    seed: int = 0,
 ) -> tuple[object, list[dict]]:
     """Run one backend on ``c`` with the timing protocol.
 
@@ -87,7 +89,7 @@ def bench_simulate(
     network always computes in double precision, whatever ``precision``
     asks, and its rows say so.  ``mem_bytes_est`` is the state vector's
     bytes, or the bytes of the plan's largest contraction step
-    (``tensornet.step_footprint``).
+    (``tensornet.step_footprint``).  Each row's ``seed`` is ``cfg.seed``.
     """
     cfg = cfg or PathfinderConfig()
     n = c.num_qubits
@@ -131,7 +133,7 @@ def bench_simulate(
             "total_time_s": pathfind_time + t,
             "mem_bytes_est": mem,
             "peak_intermediate_elements": peak,
-            "seed": seed,
+            "seed": cfg.seed,
             "rep": rep,
         }
         for rep, t in enumerate(times)

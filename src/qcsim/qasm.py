@@ -1,18 +1,31 @@
 """QASM 2.0 subset import/export for the circuit IR.
 
-Accepted grammar: ``OPENQASM 2.0;`` header, an ignored
-``include "qelib1.inc";``, exactly one ``qreg``, at most one ``creg``, gate
-statements over {h, x, y, z, rx, ry, rz, rzz, cp/cu1, cx, cz, swap} and
-``measure``.  Anything else is rejected, never skipped.  Angle expressions
-may use numbers, ``pi``, parentheses and ``+ - * /``.
+Accepted grammar, anything else is rejected, never skipped:
+
+- ``//`` starts a comment that runs to the end of its line.  Statements end
+  at ``;`` and may span lines.
+- The first statement is ``OPENQASM 2.0``; ``include "..."`` is ignored.
+  There is exactly one ``qreg name[n]`` and at most one ``creg name[n]``.
+- Every other statement has the shape ``name [(angle)] operands``: a gate
+  over {h, x, y, z, rx, ry, rz, rzz, cp/cu1, cx, cz, swap} applied to
+  ``q[i]`` operands, or ``measure``.
+- An angle is numbers and ``pi`` under ``+ - * /`` with parentheses, and
+  must be finite.  A chain of more than about 1000 operators is refused.
+- ``measure q[i] -> c[j]`` needs both indices in range, a register measure
+  ``measure q -> c`` needs registers of equal size, and a bit measure needs
+  a bit target.  No gate may follow a measurement.
+
+An error names the line on which its statement starts.
 """
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 
-from .circuit import Circuit, GateOp
-from .errors import QasmParseError, UnsupportedGateError
+from .circuit import Circuit
+from .errors import GateParameterError, QasmParseError, UnsupportedGateError, UnsupportedOpError
 from .gates import GateKind
 
 # Every gate kind under its own name, plus ``cu1``, the older name of ``cp``;
@@ -20,197 +33,128 @@ from .gates import GateKind
 _GATE_NAMES = {kind.value: kind for kind in GateKind if kind is not GateKind.MEASURE}
 _GATE_NAMES["cu1"] = GateKind.CP
 
-_TOKEN_RE = re.compile(r"\s*(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?|pi|[()+\-*/])")
+_STATEMENT_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*(.*)")
+_OPERAND_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?")
+
+# Characters an angle may use; this keeps out Python-only literals such as
+# ``0x10``, ``1_0`` and ``1j`` before ``ast`` sees the text.
+_ANGLE_CHARS = frozenset("0123456789.eEpi+-*/() ")
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-class _ExprParser:
-    """Tiny recursive-descent evaluator for QASM angle expressions."""
-
-    def __init__(self, text: str, line: int):
-        self.tokens = self._tokenize(text, line)
-        self.pos = 0
-        self.line = line
-
-    @staticmethod
-    def _tokenize(text: str, line: int) -> list[str]:
-        tokens, idx = [], 0
-        while idx < len(text):
-            m = _TOKEN_RE.match(text, idx)
-            if not m:
-                if text[idx:].strip():
-                    raise QasmParseError(f"bad angle expression {text!r}", line)
-                break
-            tokens.append(m.group(1))
-            idx = m.end()
-        return tokens
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> float:
-        value = self._expr()
-        if self._peek() is not None:
-            raise QasmParseError(f"trailing tokens in angle expression", self.line)
-        return value
-
-    def _expr(self) -> float:
-        value = self._term()
-        while self._peek() in ("+", "-"):
-            op = self._next()
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def _term(self) -> float:
-        value = self._factor()
-        while self._peek() in ("*", "/"):
-            op = self._next()
-            rhs = self._factor()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def _factor(self) -> float:
-        tok = self._next()
-        if tok is None:
-            raise QasmParseError("unexpected end of angle expression", self.line)
-        if tok == "-":
-            return -self._factor()
-        if tok == "+":
-            return self._factor()
-        if tok == "(":
-            value = self._expr()
-            if self._next() != ")":
-                raise QasmParseError("unbalanced parentheses in angle", self.line)
-            return value
-        if tok == "pi":
-            return math.pi
-        try:
-            return float(tok)
-        except ValueError:
-            raise QasmParseError(f"bad token {tok!r} in angle expression", self.line)
+def _evaluate(node: ast.AST) -> float:
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_evaluate(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    raise SyntaxError("not a number, pi or + - * /")
 
 
-def _eval_angle(text: str, line: int) -> float:
-    return _ExprParser(text, line).parse()
+def _angle(text: str, line: int) -> float:
+    try:
+        if not _ANGLE_CHARS.issuperset(text):
+            raise SyntaxError("bad character")
+        value = _evaluate(ast.parse(text.strip(), mode="eval").body)
+    except (SyntaxError, ArithmeticError, RecursionError) as exc:
+        raise QasmParseError(f"bad angle expression {text!r}: {exc}", line) from None
+    if not math.isfinite(value):
+        raise QasmParseError(f"angle {text!r} is not finite", line)
+    return value
 
 
-_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_CREG_RE = re.compile(r"^creg\s+([A-Za-z_]\w*)\s*\[\s*(\d+)\s*\]$")
-_GATE_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?:\(([^)]*)\))?\s+(.+)$")
-_OPERAND_RE = re.compile(r"^([A-Za-z_]\w*)(?:\s*\[\s*(\d+)\s*\])?$")
-_MEASURE_RE = re.compile(r"^measure\s+(.+?)\s*->\s*(.+)$")
+def _operand(text: str, register: tuple[str, int] | None, line: int) -> int | None:
+    """The index that ``text`` names in ``register`` (name, size), or None
+    when it names the whole register."""
+    m = _OPERAND_RE.fullmatch(text.strip())
+    if not m:
+        raise QasmParseError(f"bad operand {text.strip()!r}", line)
+    name, index = m.group(1), m.group(2)
+    if register is None or name != register[0]:
+        raise QasmParseError(f"unknown register {name!r}", line)
+    if index is None:
+        return None
+    if int(index) >= register[1]:
+        raise QasmParseError(f"index {index} out of range for {name}[{register[1]}]", line)
+    return int(index)
+
+
+def _statements(text: str) -> list[tuple[int, str]]:
+    """(line the statement starts on, its text with whitespace collapsed)."""
+    statements, line = [], 1
+    for chunk in re.sub(r"//[^\n]*", "", text).split(";"):
+        body = chunk.lstrip()
+        if body:
+            start = line + chunk[: len(chunk) - len(body)].count("\n")
+            statements.append((start, " ".join(body.split())))
+        line += chunk.count("\n")
+    return statements
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse a QASM 2.0 subset source string into a :class:`Circuit`."""
-    statements = []  # (line_number, statement_text)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0]
-        for stmt in line.split(";"):
-            stmt = stmt.strip()
-            if stmt:
-                statements.append((lineno, stmt))
-
+    statements = _statements(text)
     if not statements:
         raise QasmParseError("empty source")
-    lineno, header = statements[0]
-    if not re.match(r"^OPENQASM\s+2\.0$", header):
-        raise QasmParseError(f"expected 'OPENQASM 2.0;' header, got {header!r}", lineno)
+    line, header = statements[0]
+    m = _STATEMENT_RE.fullmatch(header)
+    if not m or m.groups() != ("OPENQASM", None, "2.0"):
+        raise QasmParseError(f"expected 'OPENQASM 2.0;' header, got {header!r}", line)
 
-    qreg_name: str | None = None
-    creg_name: str | None = None
-    qreg_size = creg_size = 0
+    qreg = creg = None  # (name, size)
     circuit: Circuit | None = None
-
-    def resolve_qubits(operands: str, lineno: int) -> list[int]:
-        qubits = []
-        for part in operands.split(","):
-            m = _OPERAND_RE.match(part.strip())
-            if not m:
-                raise QasmParseError(f"bad operand {part.strip()!r}", lineno)
-            reg, idx = m.group(1), m.group(2)
-            if reg != qreg_name:
-                raise QasmParseError(f"unknown quantum register {reg!r}", lineno)
-            if idx is None:
-                raise QasmParseError(f"whole-register operand not allowed here", lineno)
-            q = int(idx)
-            if q >= qreg_size:
-                raise QasmParseError(
-                    f"qubit index {q} out of range for {reg}[{qreg_size}]", lineno
-                )
-            qubits.append(q)
-        return qubits
-
-    for lineno, stmt in statements[1:]:
-        if re.match(r"^include\s+\"[^\"]*\"$", stmt):
-            continue
-        m = _QREG_RE.match(stmt)
-        if m:
-            if qreg_name is not None:
-                raise QasmParseError("only one qreg is supported", lineno)
-            qreg_name, qreg_size = m.group(1), int(m.group(2))
-            if qreg_size < 1:
-                raise QasmParseError("qreg must have positive size", lineno)
-            circuit = Circuit(qreg_size, name="qasm")
-            continue
-        m = _CREG_RE.match(stmt)
-        if m:
-            if creg_name is not None:
-                raise QasmParseError("only one creg is supported", lineno)
-            creg_name, creg_size = m.group(1), int(m.group(2))
-            continue
-        if circuit is None:
-            raise QasmParseError("statement before qreg declaration", lineno)
-
-        m = _MEASURE_RE.match(stmt)
-        if m:
-            src, dst = m.group(1).strip(), m.group(2).strip()
-            sm = _OPERAND_RE.match(src)
-            dm = _OPERAND_RE.match(dst)
-            if not sm or sm.group(1) != qreg_name:
-                raise QasmParseError(f"bad measure source {src!r}", lineno)
-            if creg_name is None or not dm or dm.group(1) != creg_name:
-                raise QasmParseError(f"bad measure target {dst!r}", lineno)
-            if sm.group(2) is None:
-                if dm.group(2) is not None:
-                    raise QasmParseError("register measure must target a register", lineno)
-                for q in range(qreg_size):
-                    circuit.measure(q)
-            else:
-                q = int(sm.group(2))
-                if q >= qreg_size:
-                    raise QasmParseError(f"qubit index {q} out of range", lineno)
-                circuit.measure(q)
-            continue
-
-        m = _GATE_RE.match(stmt)
+    for line, stmt in statements[1:]:
+        m = _STATEMENT_RE.fullmatch(stmt)
         if not m:
-            raise QasmParseError(f"cannot parse statement {stmt!r}", lineno)
-        name, arg, operands = m.group(1), m.group(2), m.group(3)
-        if name not in _GATE_NAMES:
-            raise UnsupportedGateError(f"unsupported gate {name!r}", lineno)
-        kind = _GATE_NAMES[name]
-        angle = None
-        if kind.is_parameterized:
-            if arg is None:
-                raise QasmParseError(f"{name} requires an angle argument", lineno)
-            angle = _eval_angle(arg, lineno)
-        elif arg is not None:
-            raise QasmParseError(f"{name} takes no angle argument", lineno)
-        qubits = resolve_qubits(operands, lineno)
-        if len(qubits) != kind.arity:
-            raise QasmParseError(
-                f"{name} expects {kind.arity} qubit operand(s), got {len(qubits)}", lineno
-            )
-        try:
-            circuit.add(kind, *qubits, angle=angle)
-        except ValueError as exc:
-            raise QasmParseError(str(exc), lineno)
+            raise QasmParseError(f"cannot parse statement {stmt!r}", line)
+        name, arg, operands = m.groups()
+        if name in ("include", "qreg", "creg", "measure") and arg is not None:
+            raise QasmParseError(f"{name} takes no argument", line)
+        if name == "include":
+            if not re.fullmatch(r'"[^"]*"', operands):
+                raise QasmParseError(f"bad include {operands!r}", line)
+        elif name in ("qreg", "creg"):
+            decl = _OPERAND_RE.fullmatch(operands)
+            if not decl or decl.group(2) is None:
+                raise QasmParseError(f"bad {name} declaration {operands!r}", line)
+            if (qreg if name == "qreg" else creg) is not None:
+                raise QasmParseError(f"only one {name} is supported", line)
+            register = (decl.group(1), int(decl.group(2)))
+            if name == "creg":
+                creg = register
+            elif register[1] < 1:
+                raise QasmParseError("qreg must have positive size", line)
+            else:
+                qreg, circuit = register, Circuit(register[1], name="qasm")
+        elif circuit is None:
+            raise QasmParseError("statement before qreg declaration", line)
+        elif name == "measure":
+            source, arrow, target = operands.partition("->")
+            if not arrow:
+                raise QasmParseError(f"measure needs a target: {stmt!r}", line)
+            q, bit = _operand(source, qreg, line), _operand(target, creg, line)
+            if (q is None) != (bit is None):
+                raise QasmParseError("measure a register into a register, a qubit into a bit", line)
+            if q is None and qreg[1] != creg[1]:
+                raise QasmParseError("register measure needs registers of equal size", line)
+            for qubit in range(qreg[1]) if q is None else (q,):
+                circuit.measure(qubit)
+        elif name not in _GATE_NAMES:
+            raise UnsupportedGateError(f"unsupported gate {name!r}", line)
+        else:
+            qubits = [_operand(part, qreg, line) for part in operands.split(",")]
+            if None in qubits:
+                raise QasmParseError("whole-register operand not allowed here", line)
+            angle = None if arg is None else _angle(arg, line)
+            try:
+                circuit.add(_GATE_NAMES[name], *qubits, angle=angle)
+            except (ValueError, GateParameterError, UnsupportedOpError) as exc:
+                raise QasmParseError(f"{name}: {exc}", line) from None
 
     if circuit is None:
         raise QasmParseError("source declares no qreg")

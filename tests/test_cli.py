@@ -218,3 +218,24 @@ def test_advise_json(capsys):
     payload = json.loads(out)
     assert payload["backend"] == "tensornet"
     assert payload["rationale"]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];\n", 3),
+    ("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nmeasure q[0] -> c[0];\nh q[0];\n", 5),
+])
+def test_simulate_malformed_qasm_exits_4_with_line(tmp_path, capsys, text, line):
+    src = tmp_path / "bad.qasm"
+    src.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--in", str(src), "--warmup", "0", "--reps", "1")
+    assert code == 4
+    assert out == ""
+    assert f"parse error: line {line}" in err
+
+
+def test_simulate_negative_warmup_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--family", "qft", "--n", "4",
+                             "--warmup", "-1", "--reps", "1")
+    assert code == 2
+    assert out == ""
+    assert "warmup must be >= 0" in err

@@ -169,3 +169,11 @@ def test_timing_summary_fields():
 def test_to_json_round_trip():
     payload = {"a": 1, "b": [1.5, 2.5]}
     assert json.loads(harness.to_json(payload)) == payload
+
+
+@pytest.mark.parametrize("backend", ["sv", "tn"])
+def test_bench_simulate_rows_carry_the_pathfinder_seed(backend):
+    cfg = PathfinderConfig(num_samples=2, seed=7)
+    c = generate(GeneratorSpec(Family.QFT, 4))
+    _, records = harness.bench_simulate(c, backend, cfg=cfg, warmup=0, reps=2)
+    assert [r["seed"] for r in records] == [cfg.seed, cfg.seed]

@@ -1,7 +1,9 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcsim.circuit import Circuit
 from qcsim.errors import QasmParseError, UnsupportedGateError
@@ -128,3 +130,102 @@ def test_round_trip_on_generator_outputs(family):
     c = generate(GeneratorSpec(family, 6, seed=3))
     back = parse_qasm(emit_qasm(c))
     assert back.structurally_equal(c)
+
+
+# -- malformed sources fail typed, with the line their statement starts on --
+
+
+def _rz(angle: str) -> str:
+    return f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n"
+
+
+@pytest.mark.parametrize("angle, want", [("(1+1)*pi", 2 * math.pi), ("-(pi/4)", -math.pi / 4)])
+def test_parenthesized_angles(angle, want):
+    assert parse_qasm(_rz(angle)).ops[0].angle == want
+
+
+@pytest.mark.parametrize("angle", [
+    "1/0", "1e999", "1e999-1e999", "-" * 3000 + "1", "0x10", "1_0", "1j", "2**3", "e", "pi pi",
+])
+def test_bad_angle_raises_with_line(angle):
+    with pytest.raises(QasmParseError) as err:
+        parse_qasm(_rz(angle))
+    assert err.value.line == 3
+
+
+def test_statement_may_span_lines():
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0], // control\n   q[1];\nrz(\n  pi ) q[1];\n")
+    assert [(op.kind, op.qubits) for op in c.ops] == [(GateKind.CNOT, (0, 1)), (GateKind.RZ, (1,))]
+    assert c.ops[1].angle == math.pi
+
+
+def test_error_names_the_line_a_statement_starts_on():
+    with pytest.raises(QasmParseError) as err:
+        parse_qasm("OPENQASM 2.0;\nqreg q[2];\n\ncx q[0],\n q[7];\n")
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("creg, measure", [
+    ("c[1]", "measure q[1] -> c[7]"),  # target bit out of range
+    ("c[1]", "measure q -> c"),  # registers of different sizes
+    ("c[2]", "measure q[0] -> c"),  # a bit measured into a register
+])
+def test_bad_measure_raises_with_line(creg, measure):
+    with pytest.raises(QasmParseError) as err:
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\ncreg {creg};\n{measure};\n")
+    assert err.value.line == 4
+
+
+def test_gate_after_measure_raises_with_its_line():
+    src = "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nmeasure q[0] -> c[0];\nh q[0];\n"
+    with pytest.raises(QasmParseError) as err:
+        parse_qasm(src)
+    assert err.value.line == 5
+
+
+# -- the angle evaluator against Python's own arithmetic ---------------------
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+_EXPRESSIONS = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False) | st.just("pi"),
+    lambda sub: st.tuples(st.just("-"), sub) | st.tuples(sub, st.sampled_from("+-*/"), sub),
+    max_leaves=12,
+)
+
+
+def _render(tree) -> str:
+    if isinstance(tree, float):
+        return repr(tree)
+    if tree == "pi":
+        return "pi"
+    if len(tree) == 2:
+        return f"(-{_render(tree[1])})"
+    left, op, right = tree
+    return f"({_render(left)} {op} {_render(right)})"
+
+
+def _reference(tree) -> float:
+    if isinstance(tree, float):
+        return tree
+    if tree == "pi":
+        return math.pi
+    if len(tree) == 2:
+        return -_reference(tree[1])
+    left, op, right = tree
+    return _ARITHMETIC[op](_reference(left), _reference(right))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRESSIONS)
+def test_angle_matches_python_arithmetic(tree):
+    try:
+        want = _reference(tree)
+    except ZeroDivisionError:
+        want = math.inf
+    if not math.isfinite(want):
+        with pytest.raises(QasmParseError):
+            parse_qasm(_rz(_render(tree)))
+        return
+    got = parse_qasm(_rz(_render(tree))).ops[0].angle
+    assert got.hex() == want.hex()
