@@ -33,7 +33,6 @@ from .tensornet import (
     distribution_from_plan,
     find_path,
     reconstruct_distribution,
-    tn_memory_bytes,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +72,6 @@ __all__ = [
     "amplitude",
     "reconstruct_distribution",
     "distribution_from_plan",
-    "tn_memory_bytes",
     "bitstring_to_index",
     "index_to_bitstring",
     "__version__",

@@ -134,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("memory", help="memory occupancy table")
+    p = sub.add_parser("memory", help="state-vector bytes per size (a TN run's memory is its "
+                       "plan's largest step: simulate --backend tn --json mem_bytes_est)")
     p.add_argument("--n-range", dest="n_range", default="2:32", help="lo:hi inclusive")
     p.add_argument("--precision", choices=("single", "double"), default="single")
     p.add_argument("--out", help="CSV output path")

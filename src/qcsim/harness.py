@@ -18,7 +18,10 @@ column order, and ``rows_to_csv`` takes the columns from the first row:
 - ``strong_scaling_experiment``: one row per worker count and rep
   (circuit, n, workers, slices, rep, wall_time_s, flops_est, imbalance,
   result_re, result_im).
-- ``memory_table``: one row per series and size (series, n, bytes).
+- ``memory_table``: one row per size (series, n, bytes), the state
+  vector's bytes.  A TN run's memory depends on its plan: it is the plan's
+  largest contraction step, which ``bench_simulate`` (and so
+  ``qcsim simulate --backend tn --json``) reports as ``mem_bytes_est``.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import ConfigError
-from .generators import Family, GeneratorSpec, generate
+from .generators import GeneratorSpec, generate
 from .sliced import WorkerPoolConfig, check_slices, make_worker_pool, run_sliced
 from . import statevector as sv_backend
 from . import tensornet as tn_backend
@@ -265,20 +268,14 @@ def strong_scaling_experiment(
 
 
 def memory_table(n_values: list[int], precision: str = "single") -> list[dict]:
-    """State-vector and per-family tensor-network byte counts per size.  An
+    """The state vector's bytes per size, as ``statevector`` rows.  An
     empty ``n_values`` raises ``ConfigError``."""
     if not n_values:
         raise ConfigError("n_values must name at least one qubit count")
-    rows: list[dict] = []
-    for n in n_values:
-        rows.append({"series": "statevector", "n": n,
-                     "bytes": sv_backend.sv_memory_bytes(n, precision)})
-        for fam in Family:
-            c = generate(GeneratorSpec(fam, n))
-            net = tn_backend.circuit_to_network(c)
-            rows.append({"series": f"tn-{fam.value}", "n": n,
-                         "bytes": tn_backend.tn_memory_bytes(net, precision)})
-    return rows
+    return [
+        {"series": "statevector", "n": n, "bytes": sv_backend.sv_memory_bytes(n, precision)}
+        for n in n_values
+    ]
 
 
 # -- CSV / JSON emission ---------------------------------------------------

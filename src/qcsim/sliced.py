@@ -2,14 +2,17 @@
 
 The distributed algorithm's semantics are reproduced with OS processes
 standing in for ranks (CPU-bound contraction needs real parallelism):
-pathfinding samples are spread over the pool and the single globally best
-plan is shared; the network is sliced into a power-of-two number of
-sub-networks; every slice has the same cost, so slice ``i`` goes to worker
-``i mod workers``; each worker contracts and locally sums its slices, and
-times that; a final reduction adds the per-worker partials.  Per-sample
-pathfinder seeds depend only on (seed, sample index), so the winning plan
-is identical for every worker count.  The slice order within a worker and
-the reduction order are fixed, so repeated runs are bit-identical.
+pathfinding is ``tensornet.find_path`` with the pool as its executor, so
+its samples are spread over the workers and the one best plan is shared;
+the network is sliced into a power-of-two number of sub-networks; every
+slice has the same cost, so slice ``i`` goes to worker ``i mod workers``;
+each worker contracts and locally sums its slices, and times that; a final
+reduction adds the per-worker partials.  Per-sample pathfinder seeds
+depend only on (seed, sample index), so the winning plan is identical for
+every worker count and to ``find_path``'s without a pool.  A network with
+fewer sliceable labels than asked yields fewer slices, and only workers
+that get one take part.  The slice order within a worker and the
+reduction order are fixed, so repeated runs are bit-identical.
 
 Pool workers cap their BLAS at one thread (through ``blas``), since
 otherwise every process spins up its own BLAS threads and the
@@ -27,14 +30,7 @@ from . import blas
 from .circuit import Circuit
 from .errors import ConfigError
 from . import tensornet as tn
-from .tensornet import (
-    ContractionPlan,
-    PathfinderConfig,
-    TensorNetwork,
-    build_network,
-    choose_slices,
-    slice_assignments,
-)
+from .tensornet import PathfinderConfig, build_network, choose_slices, slice_assignments
 
 
 def __getattr__(name: str):
@@ -76,32 +72,6 @@ class ScalingRun:
         """The slowest worker's contraction time over the fastest's."""
         lo, hi = min(self.worker_s), max(self.worker_s)
         return hi / lo if lo > 0 else float("inf")
-
-
-def _pathfind_shard(args) -> tuple[tuple[int, int], tuple[tuple[int, int], ...], int]:
-    sets, cfg, samples = args
-    return tn._best_descent(sets, cfg, samples)
-
-
-def _shared_plan(
-    net: TensorNetwork,
-    cfg: PathfinderConfig,
-    executor: ProcessPoolExecutor | None,
-    workers: int,
-) -> ContractionPlan:
-    sets = tn._index_sets(net)
-    n = cfg.num_samples
-    shards = [
-        (sets, cfg, range(w * n // workers, (w + 1) * n // workers))
-        for w in range(workers)
-    ]
-    shards = [s for s in shards if s[2]]
-    if executor is None or len(shards) == 1:
-        results = [_pathfind_shard(s) for s in shards]
-    else:
-        results = list(executor.map(_pathfind_shard, shards))
-    (flops, _), steps, peak = min(results, key=lambda r: r[0])
-    return ContractionPlan(len(net.tensors), steps, flops, peak)
 
 
 def _contract_shard(args) -> tuple[complex, float]:
@@ -154,15 +124,15 @@ def run_sliced(
     executor = executor if executor is not None else make_worker_pool(pool.workers)
     try:
         t0 = time.perf_counter()
-        plan = _shared_plan(net, cfg, executor if pool.workers > 1 else None,
-                            pool.workers)
+        plan = tn.find_path(net, cfg, executor if pool.workers > 1 else None)
         if slices > 1:
             plan = choose_slices(net, plan, slices)
         pathfind_time = time.perf_counter() - t0
         tn._check_budget(net, plan)
 
         assignments = list(slice_assignments(plan))
-        tasks = [(net, plan, assignments[w::pool.workers]) for w in range(pool.workers)]
+        workers = min(pool.workers, len(assignments))
+        tasks = [(net, plan, assignments[w::workers]) for w in range(workers)]
 
         t1 = time.perf_counter()
         parts = list(executor.map(_contract_shard, tasks))

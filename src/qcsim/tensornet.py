@@ -19,7 +19,9 @@ first its ``2^n`` output, is checked against the one memory budget of
 ``statevector.check_budget``; work over it raises ``CapacityError``.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
-keeps the plan with the lowest estimated FLOP count.  The cost of a pairwise
+keeps the plan with the lowest estimated FLOP count.  The descents may run
+as an executor's tasks (a worker pool); each is seeded by its sample index
+alone, so the plan is the same wherever they run.  The cost of a pairwise
 step is the product of the dimensions of the union of both tensors' indices
 (shared counted once); since every index here has dimension 2, costs are
 exact integers ``2**|union|``.  Estimated peak size is reported but not
@@ -36,7 +38,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import ConfigError, StructuralError, UnsupportedOpError
-from .statevector import OutputDistribution, check_budget, precision_dtype
+from .statevector import OutputDistribution, check_budget
 
 _BASIS = (np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128))
 
@@ -97,11 +99,6 @@ class TensorNetwork:
         for t in self.tensors:
             labels.update(t.indices)
         return labels
-
-
-def tn_memory_bytes(net: TensorNetwork, precision: str = "single") -> int:
-    """Total bytes of all tensor elements at the given complex precision."""
-    return sum(t.data.size for t in net.tensors) * precision_dtype(precision).itemsize
 
 
 def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwork:
@@ -350,40 +347,36 @@ def _greedy_descent(
     return tuple(steps), max(flops, 1), peak
 
 
-def _best_descent(
-    sets: list[frozenset[str]], cfg: PathfinderConfig, samples: range
-) -> tuple[tuple[int, int], tuple[tuple[int, int], ...], int]:
-    """The lowest-``(flops, sample)`` descent over ``samples``, as
+def _descent(task) -> tuple[tuple[int, int], tuple[tuple[int, int], ...], int]:
+    """One ``find_path`` sample, ``task = (sets, seed, sample)``, as
     ``((flops, sample), steps, peak)``.
 
     Sample 0 is pure greedy; sample ``k > 0`` draws its noise from a
-    generator seeded by ``(cfg.seed, k)`` alone, so any split of the sample
-    range picks the same winner.
+    generator seeded by ``(seed, k)`` alone, so the winner does not depend
+    on where or in which order the samples run.
     """
-    best = None
-    for sample in samples:
-        rng = (
-            np.random.default_rng(np.random.SeedSequence((cfg.seed, sample)))
-            if sample else None
-        )
-        steps, flops, peak = _greedy_descent(sets, rng)
-        if best is None or (flops, sample) < best[0]:
-            best = ((flops, sample), steps, peak)
-    return best
+    sets, seed, sample = task
+    rng = np.random.default_rng(np.random.SeedSequence((seed, sample))) if sample else None
+    steps, flops, peak = _greedy_descent(sets, rng)
+    return (flops, sample), steps, peak
 
 
-def find_path(net: TensorNetwork, cfg: PathfinderConfig) -> ContractionPlan:
+def find_path(net: TensorNetwork, cfg: PathfinderConfig, executor=None) -> ContractionPlan:
     """Best-of-``num_samples`` randomized greedy search, deterministic in
-    ``cfg.seed``.  Sample 0 always runs pure greedy as a baseline."""
+    ``cfg.seed``.  Sample 0 always runs pure greedy as a baseline.
+
+    Each sample is one ``_descent`` task, run in this process or, given an
+    ``executor`` (anything with ``map(fn, tasks)``, such as a
+    ``sliced.make_worker_pool`` pool), as that executor's tasks.  The
+    lowest ``(flops, sample)`` wins, so the plan is the same either way.
+    """
     if not net.tensors:
         raise StructuralError("cannot plan an empty network")
-    (flops, _), steps, peak = _best_descent(_index_sets(net), cfg, range(cfg.num_samples))
-    return ContractionPlan(
-        num_tensors=len(net.tensors),
-        steps=steps,
-        est_flops=flops,
-        est_peak_elements=peak,
-    )
+    sets = _index_sets(net)
+    tasks = [(sets, cfg.seed, sample) for sample in range(cfg.num_samples)]
+    runs = map(_descent, tasks) if executor is None else executor.map(_descent, tasks)
+    (flops, _), steps, peak = min(runs, key=lambda r: r[0])
+    return ContractionPlan(len(net.tensors), steps, flops, peak)
 
 
 def step_footprint(net: TensorNetwork, plan: ContractionPlan) -> int:

@@ -2,11 +2,13 @@ import logging
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcsim import blas, sliced
+from qcsim import blas, sliced, tensornet
+from qcsim.circuit import Circuit, bitstring_to_index
 from qcsim.errors import CapacityError, ConfigError
 from qcsim.generators import Family, GeneratorSpec, generate
-from qcsim.harness import strong_scaling_experiment
+from qcsim.harness import bench_simulate, pathfinding_study, strong_scaling_experiment
 from qcsim.sliced import WorkerPoolConfig, make_worker_pool, run_sliced
 from qcsim.statevector import distribution, run
 from qcsim.tensornet import (
@@ -15,8 +17,11 @@ from qcsim.tensornet import (
     build_network,
     choose_slices,
     find_path,
+    reconstruct_distribution,
     slice_assignments,
 )
+
+from conftest import draw_gates
 
 CFG = PathfinderConfig(num_samples=4, seed=13)
 
@@ -93,6 +98,17 @@ def test_load_balance_bound():
         assert [len(shard) for _, _, shard in tasks] == [4] * workers
 
 
+def test_workers_beyond_the_slices_made_get_no_task():
+    # An idle circuit's closed network has no label left to slice, so the
+    # 4 slices asked for are 1, and only one of the 2 workers contracts.
+    executor = RecordingExecutor()
+    r = run_sliced(Circuit(3), "000", CFG, WorkerPoolConfig(workers=2), slices=4,
+                   executor=executor)
+    [tasks] = [tasks for fn, tasks in executor.calls if fn is sliced._contract_shard]
+    assert [shard for _, _, shard in tasks] == [[{}]]
+    assert r.result == 1 and len(r.worker_s) == 1
+
+
 def test_scaling_run_accounting():
     c = generate(GeneratorSpec(Family.VQE, 8))
     r = run_sliced(c, "0" * 8, CFG, WorkerPoolConfig(workers=2), slices=4)
@@ -125,13 +141,68 @@ def pool():
 
 
 def test_pooled_plan_matches_find_path(pool):
-    cfg = PathfinderConfig(num_samples=5, seed=3)
-    for family in (Family.QFT, Family.QAOA, Family.RANDOM, Family.VQE):
-        net = build_network(generate(GeneratorSpec(family, 8, seed=1)), "0" * 8)
+    cases = [
+        (build_network(generate(GeneratorSpec(family, 8, seed=1)), "0" * 8),
+         PathfinderConfig(num_samples=5, seed=3))
+        for family in (Family.QFT, Family.QAOA, Family.RANDOM, Family.VQE)
+    ]
+    cases.append((build_network(generate(GeneratorSpec(Family.QFT, 14)), "0" * 14),
+                  PathfinderConfig(num_samples=4, seed=3)))
+    for net, cfg in cases:
         expected = find_path(net, cfg)
-        for workers in (1, 2, 3):
-            executor = pool if workers > 1 else None
-            assert sliced._shared_plan(net, cfg, executor, workers) == expected, (family, workers)
+        assert find_path(net, cfg, pool) == expected
+        recording = RecordingExecutor()
+        assert find_path(net, cfg, recording) == expected
+        [(fn, tasks)] = recording.calls
+        assert fn is tensornet._descent
+        assert [sample for _, _, sample in tasks] == list(range(cfg.num_samples))
+
+
+def test_every_tn_entry_point_plans_through_find_path(monkeypatch):
+    calls = []
+    real = tensornet.find_path
+
+    def spy(net, cfg, executor=None):
+        calls.append(executor)
+        return real(net, cfg, executor)
+
+    monkeypatch.setattr(tensornet, "find_path", spy)
+
+    def planned(fn):
+        calls.clear()
+        fn()
+        return list(calls)
+
+    spec = GeneratorSpec(Family.QFT, 6)
+    c = generate(spec)
+    bits = "0" * 6
+    assert planned(lambda: amplitude(c, bits, CFG)) == [None]
+    assert planned(lambda: reconstruct_distribution(c, CFG)) == [None]
+    one, two = RecordingExecutor(), RecordingExecutor()
+    assert planned(lambda: run_sliced(c, bits, CFG, WorkerPoolConfig(workers=1),
+                                      slices=2, executor=one)) == [None]
+    assert planned(lambda: run_sliced(c, bits, CFG, WorkerPoolConfig(workers=2),
+                                      slices=2, executor=two)) == [two]
+    assert [len(tasks) for fn, tasks in two.calls if fn is tensornet._descent] == [4]
+    assert planned(lambda: bench_simulate(c, "tn", warmup=0, reps=1)) == [None]
+    assert planned(lambda: pathfinding_study(spec, [1, 2], repetitions=1, warmup=0)) == [None] * 2
+
+
+@st.composite
+def circuits_and_bits(draw):
+    n = draw(st.integers(3, 6))
+    c = draw_gates(draw, Circuit(n), range(n), max_gates=16)
+    bits = draw(st.text("01", min_size=n, max_size=n))
+    return c, bits, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=circuits_and_bits())
+def test_pooled_sliced_amplitude_matches_sv(pool, case):
+    c, bits, seed = case
+    r = run_sliced(c, bits, PathfinderConfig(num_samples=3, seed=seed),
+                   WorkerPoolConfig(workers=2), slices=4, executor=pool)
+    assert r.result == pytest.approx(run(c, "double").amps[bitstring_to_index(bits)], abs=1e-10)
 
 
 def test_slices_go_round_robin():

@@ -29,9 +29,7 @@ from qcsim.tensornet import (
     Tensor,
     TensorNetwork,
     _check_budget,
-    circuit_to_network,
     reconstruct_distribution,
-    tn_memory_bytes,
 )
 
 from conftest import dense_apply, dense_run, draw_gates
@@ -234,8 +232,7 @@ def test_sample_seed_determinism(bell):
     lambda: run(Circuit(3).h(0), "quad"),
     lambda: init_zero(3, "quad"),
     lambda: sv_memory_bytes(3, "quad"),
-    lambda: tn_memory_bytes(circuit_to_network(Circuit(3).h(0)), "quad"),
-], ids=["plan", "run", "init_zero", "sv_memory_bytes", "tn_memory_bytes"])
+], ids=["plan", "run", "init_zero", "sv_memory_bytes"])
 def test_unknown_precision_raises_value_error(call):
     with pytest.raises(ValueError, match="'quad'"):
         call()

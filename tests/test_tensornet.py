@@ -24,7 +24,6 @@ from qcsim.tensornet import (
     distribution_from_plan,
     find_path,
     reconstruct_distribution,
-    tn_memory_bytes,
 )
 
 from conftest import brute_force_contract, draw_gates, reference_choose_slices
@@ -531,30 +530,3 @@ def test_er_light_families_contract_with_small_intermediates():
             net = absorb_small_tensors(net, max_rank=2)
             plan = find_path(net, PathfinderConfig(num_samples=2, seed=1))
             assert plan.est_peak_elements <= 2 ** (math.ceil(n / 2) + 2), (family, n)
-
-
-# -- memory ------------------------------------------------------------------
-
-
-def test_bell_network_memory_bytes(bell):
-    net = circuit_to_network(bell)
-    assert tn_memory_bytes(net, "single") == (2 + 2 + 4 + 16) * 8
-    assert tn_memory_bytes(net, "double") == (2 + 2 + 4 + 16) * 16
-
-
-def test_empty_network_memory():
-    from qcsim.tensornet import TensorNetwork
-
-    assert tn_memory_bytes(TensorNetwork([], ())) == 0
-
-
-def test_memory_linear_in_trotter_steps():
-    n = 6
-    sizes = []
-    for t in (1, 2, 4, 8):
-        c = generate(GeneratorSpec(Family.HAMILTONIAN, n, t_steps=t))
-        sizes.append(tn_memory_bytes(circuit_to_network(c)))
-    # doubling T roughly doubles the gate-tensor payload
-    gate_bytes = [s - n * 2 * 8 for s in sizes]  # drop the fixed input vectors
-    assert gate_bytes[1] == pytest.approx(2 * gate_bytes[0], rel=0.01)
-    assert gate_bytes[3] == pytest.approx(2 * gate_bytes[2], rel=0.01)
