@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GateParameterError, UnsupportedOpError
+from .errors import ConfigError, GateParameterError, UnsupportedOpError
 from .gates import GateKind, matrix_of
 
 
@@ -29,11 +29,11 @@ class GateOp:
 
     def __post_init__(self):
         if len(self.qubits) != self.kind.arity and self.kind is not GateKind.MEASURE:
-            raise ValueError(
+            raise ConfigError(
                 f"{self.kind.name} acts on {self.kind.arity} qubits, got {self.qubits}"
             )
         if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubit in {self.kind.name}{self.qubits}")
+            raise ConfigError(f"duplicate qubit in {self.kind.name}{self.qubits}")
         if self.kind.is_parameterized and self.angle is None:
             raise GateParameterError(f"{self.kind.name} requires an angle")
         if not self.kind.is_parameterized and self.angle is not None:
@@ -73,14 +73,14 @@ class Circuit:
 
     def __post_init__(self):
         if self.num_qubits < 1:
-            raise ValueError("circuit needs at least one qubit")
+            raise ConfigError("circuit needs at least one qubit")
 
     # -- assembly -----------------------------------------------------
     def add(self, kind: GateKind, *qubits: int, angle: float | None = None) -> "Circuit":
         op = GateOp(kind, tuple(qubits), angle)
         for q in op.qubits:
             if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} outside register of width {self.num_qubits}")
+                raise ConfigError(f"qubit {q} outside register of width {self.num_qubits}")
         if self.ops and self.ops[-1].is_measure and not op.is_measure:
             raise UnsupportedOpError("gates after a measurement are not supported")
         self.ops.append(op)

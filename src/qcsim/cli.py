@@ -285,10 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     except QasmParseError as exc:
         print(f"qcsim: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, ValueError) as exc:
-        print(f"qcsim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QcsimError as exc:
+    # ValueError: --samples, --workers or --n-range text that is not an integer.
+    except (QcsimError, ValueError) as exc:
         print(f"qcsim: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

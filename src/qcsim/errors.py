@@ -53,5 +53,7 @@ class StructuralError(QcsimError):
     """Tensor network or contraction plan is internally inconsistent."""
 
 
-class ConfigError(QcsimError):
-    """Invalid run configuration (worker counts, slice counts, ...)."""
+class ConfigError(QcsimError, ValueError):
+    """Invalid input or run configuration (qubit indices, bitstrings,
+    precisions, worker and slice counts, ...).  It is also a ``ValueError``,
+    so callers that catch that keep working."""

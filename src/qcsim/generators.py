@@ -39,6 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import Circuit
+from .errors import ConfigError
 from .gates import GateKind
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -84,7 +85,7 @@ _ALIASES = {
 def family_from_name(name: str) -> Family:
     key = name.strip().lower()
     if key not in _ALIASES:
-        raise ValueError(f"unknown circuit family {name!r}; choose from {sorted(set(_ALIASES))}")
+        raise ConfigError(f"unknown circuit family {name!r}; choose from {sorted(set(_ALIASES))}")
     return _ALIASES[key]
 
 
@@ -149,13 +150,13 @@ def generate(spec: GeneratorSpec) -> Circuit:
     Identical specs always produce structurally identical circuits.
     """
     if spec.n < 2:
-        raise ValueError(f"benchmark circuits need n >= 2, got {spec.n}")
+        raise ConfigError(f"benchmark circuits need n >= 2, got {spec.n}")
     knobs = spec.resolved()
     if not 0.0 <= knobs["k"] <= 1.0:
-        raise ValueError(f"k must lie in [0, 1], got {knobs['k']}")
+        raise ConfigError(f"k must lie in [0, 1], got {knobs['k']}")
     for name in ("p_layers", "l_layers", "t_steps"):
         if knobs[name] < 1:
-            raise ValueError(f"{name} must be >= 1, got {knobs[name]}")
+            raise ConfigError(f"{name} must be >= 1, got {knobs[name]}")
 
     builder = {
         Family.QAOA: _build_qaoa,

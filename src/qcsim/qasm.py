@@ -25,7 +25,7 @@ import operator
 import re
 
 from .circuit import Circuit
-from .errors import GateParameterError, QasmParseError, UnsupportedGateError, UnsupportedOpError
+from .errors import QasmParseError, QcsimError, UnsupportedGateError
 from .gates import GateKind
 
 # Every gate kind under its own name, plus ``cu1``, the older name of ``cp``;
@@ -153,7 +153,7 @@ def parse_qasm(text: str) -> Circuit:
             angle = None if arg is None else _angle(arg, line)
             try:
                 circuit.add(_GATE_NAMES[name], *qubits, angle=angle)
-            except (ValueError, GateParameterError, UnsupportedOpError) as exc:
+            except QcsimError as exc:
                 raise QasmParseError(f"{name}: {exc}", line) from None
 
     if circuit is None:

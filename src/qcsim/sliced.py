@@ -6,13 +6,14 @@ pathfinding is ``tensornet.find_path`` with the pool as its executor, so
 its samples are spread over the workers and the one best plan is shared;
 the network is sliced into a power-of-two number of sub-networks; every
 slice has the same cost, so slice ``i`` goes to worker ``i mod workers``;
-each worker contracts and locally sums its slices, and times that; a final
-reduction adds the per-worker partials.  Per-sample pathfinder seeds
-depend only on (seed, sample index), so the winning plan is identical for
-every worker count and to ``find_path``'s without a pool.  A network with
-fewer sliceable labels than asked yields fewer slices, and only workers
-that get one take part.  The slice order within a worker and the
-reduction order are fixed, so repeated runs are bit-identical.
+each worker runs ``tensornet.contract`` on its slices' assignments, which
+sums them locally, and times that; a final reduction adds the per-worker
+partials.  Per-sample pathfinder seeds depend only on (seed, sample
+index), so the winning plan is identical for every worker count and to
+``find_path``'s without a pool.  A network with fewer sliceable labels
+than asked yields fewer slices, and only workers that get one take part.
+The slice order within a worker and the reduction order are fixed, so
+repeated runs are bit-identical.
 
 Pool workers cap their BLAS at one thread (through ``blas``), since
 otherwise every process spins up its own BLAS threads and the
@@ -77,7 +78,7 @@ class ScalingRun:
 def _contract_shard(args) -> tuple[complex, float]:
     net, plan, assignments = args
     t0 = time.perf_counter()
-    value = complex(tn._contract_slices(net, plan, assignments).data.reshape(()))
+    value = complex(tn.contract(net, plan, assignments).data.reshape(()))
     return value, time.perf_counter() - t0
 
 

@@ -203,9 +203,9 @@ def check_budget(elements: int, what: str, itemsize: int = ELEMENT_BYTES) -> Non
 
 def precision_dtype(precision: str) -> np.dtype:
     """The amplitude dtype of ``precision``, 'single' or 'double'; any other
-    precision raises ``ValueError``."""
+    precision raises ``ConfigError``."""
     if precision not in _DTYPES:
-        raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
+        raise ConfigError(f"precision must be 'single' or 'double', got {precision!r}")
     return _DTYPES[precision]
 
 
@@ -234,7 +234,7 @@ def _check_capacity(n: int, precision: str) -> None:
     """Refuse an ``n``-qubit state over the budget, fewer than one qubit,
     or a precision other than 'single' and 'double'."""
     if n < 1:
-        raise ValueError("need at least one qubit")
+        raise ConfigError("need at least one qubit")
     check_budget(1 << n, f"{n}-qubit state vector ({precision} precision)",
                  precision_dtype(precision).itemsize)
 
@@ -439,7 +439,7 @@ def _check_qubits(op: GateOp, n: int) -> None:
         raise UnsupportedOpError("measurement is handled by sampling, not apply_gate")
     for q in op.qubits:
         if not 0 <= q < n:
-            raise ValueError(f"qubit {q} outside register of width {n}")
+            raise ConfigError(f"qubit {q} outside register of width {n}")
 
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -739,7 +739,7 @@ def distribution(sv: StateVector) -> OutputDistribution:
 def sample(sv: StateVector, shots: int, seed: int = 0) -> dict[str, int]:
     """Multinomial measurement counts; identical seeds give identical maps."""
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise ConfigError("shots must be >= 1")
     dist = distribution(sv)
     probs = dist.probs / dist.probs.sum()
     rng = np.random.default_rng(seed)

@@ -8,25 +8,32 @@ conjugate basis vector, in which case full contraction yields that
 bitstring's probability amplitude.
 
 Every entry point runs the same pipeline: ``build_network`` (conversion
-plus absorption of the rank-1 tensors), ``find_path``, then contraction.
+plus absorption of the rank-1 tensors), ``find_path``, then ``contract``.
 An amplitude contracts the closed network to a scalar.  The full output
 distribution contracts the open network once to the n-qubit output state
 and squares it.  ``contract`` is the one plan executor: it runs sliced and
 unsliced plans alike, an unsliced plan being one slice with no label fixed.
-Before any contraction allocates, the plan's largest step footprint (both
-operands plus the output, per slice when sliced), and for a distribution
-first its ``2^n`` output, is checked against the one memory budget of
-``statevector.check_budget``; work over it raises ``CapacityError``.
+Before any contraction allocates, the plan's largest step footprint (per
+slice when sliced), and for a distribution first its ``2^n`` output, is
+checked against the one memory budget of ``statevector.check_budget``;
+work over it raises ``CapacityError``.
+
+A plan is a full binary contraction in SSA form: ids below ``num_tensors``
+are the network's tensors in order, and step ``k`` contracts ids
+``steps[k] = (i, j)`` into the new id ``num_tensors + k``.  ``_walk`` is the
+one place that follows those ids and refuses a plan that is not such a
+contraction.  ``_cost`` is the one cost model: every index has dimension 2,
+so a step over operands with index sets ``a`` and ``b`` costs exactly
+``2^|a | b|`` FLOPs, its output holds ``2^|a ^ b|`` elements, and while it
+runs it holds both operands plus that output.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
-keeps the plan with the lowest estimated FLOP count.  The descents may run
-as an executor's tasks (a worker pool); each is seeded by its sample index
-alone, so the plan is the same wherever they run.  The cost of a pairwise
-step is the product of the dimensions of the union of both tensors' indices
-(shared counted once); since every index here has dimension 2, costs are
-exact integers ``2**|union|``.  Estimated peak size is reported but not
-optimized.  Slicing fixes chosen index values, splitting one contraction
-into independent sub-contractions whose results sum to the original.
+keeps the plan with the lowest estimated FLOP count; estimated peak size is
+reported but not optimized.  The descents may run as an executor's tasks
+(a worker pool); each is seeded by its sample index alone, so the plan is
+the same wherever they run.  Slicing fixes chosen index values, splitting
+one contraction into independent sub-contractions whose results sum to the
+original.
 """
 from __future__ import annotations
 
@@ -104,7 +111,7 @@ class TensorNetwork:
 def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwork:
     """Convert a circuit (and optional output bitstring) to a tensor network.
     A bitstring that is not ``n`` characters ``0`` or ``1`` raises
-    ``ValueError``."""
+    ``ConfigError``."""
     ops = list(c.ops)
     # Trailing measurement markers are fine; mid-circuit ones are not.
     tail = len(ops)
@@ -117,10 +124,10 @@ def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwor
     n = c.num_qubits
     if bitstring is not None:
         if len(bitstring) != n:
-            raise ValueError(f"bitstring length {len(bitstring)} != {n} qubits")
+            raise ConfigError(f"bitstring length {len(bitstring)} != {n} qubits")
         bad = next((ch for ch in bitstring if ch not in "01"), None)
         if bad is not None:
-            raise ValueError(f"bitstring {bitstring!r} holds {bad!r}, not 0 or 1")
+            raise ConfigError(f"bitstring {bitstring!r} holds {bad!r}, not 0 or 1")
 
     wire = [f"q{q}w0" for q in range(n)]
     counter = [0] * n
@@ -218,22 +225,14 @@ def contract_pair(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, data)
 
 
-def pair_cost(a_indices: frozenset[str], b_indices: frozenset[str]) -> int:
-    """FLOP estimate of one step: product of union-index dimensions."""
-    return 1 << len(a_indices | b_indices)
-
-
 # -- contraction plans --------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    """Full binary contraction of a network in SSA form.
-
-    Step ``k`` contracts ids ``steps[k] = (i, j)`` and produces id
-    ``num_tensors + k``; ids below ``num_tensors`` are the network's tensors
-    in order.
-    """
+    """Full binary contraction of a network of ``num_tensors`` tensors in
+    SSA form (see the module docstring).  ``est_flops`` counts every slice;
+    ``est_peak_elements`` is the largest tensor of one slice."""
 
     num_tensors: int
     steps: tuple[tuple[int, int], ...]
@@ -241,7 +240,6 @@ class ContractionPlan:
     est_peak_elements: int
     sliced_labels: tuple[str, ...] = ()
     slice_warning: bool = False
-    per_slice_flops: int | None = None
 
 
 @dataclass(frozen=True)
@@ -258,62 +256,57 @@ def _index_sets(net: TensorNetwork, drop: frozenset[str] = frozenset()) -> list[
     return [frozenset(t.indices) - drop for t in net.tensors]
 
 
-def _replay_record(
-    num_tensors: int,
-    steps: tuple[tuple[int, int], ...],
-    sets: list[frozenset[str]],
-) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
-    """Replay ``steps`` over ``sets``: each step's index union, and every
-    tensor's index set (the inputs, then each step's output).  Steps that
-    are not a full binary contraction of ``num_tensors`` tensors, one per
-    set, raise ``StructuralError``."""
-    if num_tensors != len(sets):
-        raise StructuralError(f"plan is for {num_tensors} tensors, network has {len(sets)}")
-    if len(steps) != max(num_tensors - 1, 0):
-        raise StructuralError("plan is not a full binary contraction")
-    buf: dict[int, frozenset[str]] = dict(enumerate(sets))
-    unions: list[frozenset[str]] = []
-    tensors = list(sets)
-    next_id = num_tensors
-    for i, j in steps:
-        a, b = buf.pop(i, None), buf.pop(j, None)
-        if a is None or b is None:
-            raise StructuralError(f"step ({i}, {j}) references unavailable tensors")
-        unions.append(a | b)
-        out = a ^ b
-        tensors.append(out)
-        buf[next_id] = out
-        next_id += 1
-    return unions, tensors
+def _walk(num_tensors: int, steps):
+    """Follow ``steps`` over ``num_tensors`` tensors, yielding ``(i, j, k)``
+    for each step: it contracts ids ``i`` and ``j`` into id ``k``.  Steps
+    that are not a full binary contraction of the tensors raise
+    ``StructuralError``."""
+    if num_tensors < 1 or len(steps) != num_tensors - 1:
+        raise StructuralError(
+            f"a plan of {len(steps)} steps is not a full binary contraction "
+            f"of {num_tensors} tensors"
+        )
+    live = set(range(num_tensors))
+    for k, (i, j) in enumerate(steps, num_tensors):
+        try:
+            live.remove(i)
+            live.remove(j)
+        except KeyError:
+            raise StructuralError(f"step ({i}, {j}) references unavailable tensors") from None
+        live.add(k)
+        yield i, j, k
 
 
-def _replay(
-    num_tensors: int,
-    steps: tuple[tuple[int, int], ...],
-    sets: list[frozenset[str]],
-) -> tuple[int, int]:
-    """(total flops, peak output elements) of ``steps`` over ``sets``."""
-    unions, tensors = _replay_record(num_tensors, steps, sets)
-    flops = sum(1 << len(u) for u in unions)
-    peak = max((1 << len(s) for s in tensors), default=1)
-    return max(flops, 1), peak
+def _cost(steps, sets: list[frozenset[str]]) -> tuple[int, int, int]:
+    """``(flops, peak, step)`` of ``steps`` over the input index ``sets``:
+    the total FLOPs (at least 1), the largest tensor's elements, and the
+    elements the largest step holds at once (the largest input for a plan
+    without steps).  ``sets`` is extended in place with each step's output,
+    so that it ends as every tensor's index set by id."""
+    size = [1 << len(s) for s in sets]
+    flops, step = 0, max(size, default=1)
+    for i, j, k in _walk(len(sets), steps):
+        a, b = sets[i], sets[j]
+        sets.append(a ^ b)
+        size.append(1 << len(sets[k]))
+        flops += 1 << len(a | b)
+        step = max(step, size[i] + size[j] + size[k])
+    return max(flops, 1), max(size, default=1), step
 
 
 def _greedy_descent(
     sets: list[frozenset[str]], rng: np.random.Generator | None
-) -> tuple[tuple[tuple[int, int], ...], int, int]:
+) -> tuple[tuple[int, int], ...]:
     """One randomized-greedy bottom-up contraction order.
 
     Candidates are pairs sharing an index; the key is log2 of the step cost
     plus a Gumbel draw from ``rng`` (``None`` = pure greedy, deterministic
     smallest-ids tie-break).  Outer products are taken only when no pair
-    shares an index.
+    shares an index, on the two smallest tensors.
     """
     active: dict[int, frozenset[str]] = dict(enumerate(sets))
     next_id = len(sets)
     steps: list[tuple[int, int]] = []
-    flops = 0
-    peak = max((1 << len(s) for s in sets), default=1)
 
     while len(active) > 1:
         label_map: dict[str, list[int]] = {}
@@ -324,9 +317,8 @@ def _greedy_descent(
             (min(ids), max(ids)) for ids in label_map.values() if len(ids) == 2
         }
         if not candidates:
-            ids = sorted(active)
-            ranked = sorted(ids, key=lambda i: (len(active[i]), i))
-            pair = (min(ranked[0], ranked[1]), max(ranked[0], ranked[1]))
+            first, second = sorted(active, key=lambda i: (len(active[i]), i))[:2]
+            pair = (min(first, second), max(first, second))
         else:
             best_key, pair = None, None
             for i, j in sorted(candidates):
@@ -336,15 +328,11 @@ def _greedy_descent(
                 if best_key is None or key < best_key:
                     best_key, pair = key, (i, j)
         i, j = pair
-        a, b = active.pop(i), active.pop(j)
-        flops += pair_cost(a, b)
-        out = a ^ b
-        peak = max(peak, 1 << len(out))
-        active[next_id] = out
-        steps.append((i, j))
+        active[next_id] = active.pop(i) ^ active.pop(j)
+        steps.append(pair)
         next_id += 1
 
-    return tuple(steps), max(flops, 1), peak
+    return tuple(steps)
 
 
 def _descent(task) -> tuple[tuple[int, int], tuple[tuple[int, int], ...], int]:
@@ -357,7 +345,8 @@ def _descent(task) -> tuple[tuple[int, int], tuple[tuple[int, int], ...], int]:
     """
     sets, seed, sample = task
     rng = np.random.default_rng(np.random.SeedSequence((seed, sample))) if sample else None
-    steps, flops, peak = _greedy_descent(sets, rng)
+    steps = _greedy_descent(sets, rng)
+    flops, peak, _ = _cost(steps, list(sets))
     return (flops, sample), steps, peak
 
 
@@ -380,19 +369,10 @@ def find_path(net: TensorNetwork, cfg: PathfinderConfig, executor=None) -> Contr
 
 
 def step_footprint(net: TensorNetwork, plan: ContractionPlan) -> int:
-    """Elements the plan's largest step holds at once: both operands plus
-    the output, per slice for a sliced plan; the largest input tensor for
-    a plan without steps.  A plan that does not fit ``net`` raises
+    """Elements the plan's largest step holds at once, per slice for a
+    sliced plan (``_cost``).  A plan that does not fit ``net`` raises
     ``StructuralError``."""
-    _, sets = _replay_record(
-        plan.num_tensors, plan.steps, _index_sets(net, frozenset(plan.sliced_labels))
-    )
-    size = [1 << len(s) for s in sets]
-    return max(
-        (size[i] + size[j] + size[out]
-         for out, (i, j) in enumerate(plan.steps, plan.num_tensors)),
-        default=max(size, default=1),
-    )
+    return _cost(plan.steps, _index_sets(net, frozenset(plan.sliced_labels)))[2]
 
 
 def _check_budget(net: TensorNetwork, plan: ContractionPlan) -> None:
@@ -402,40 +382,22 @@ def _check_budget(net: TensorNetwork, plan: ContractionPlan) -> None:
     check_budget(step_footprint(net, plan), "the plan's largest contraction step")
 
 
-def contract(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
-    """Execute ``plan``: the sum of its slice contractions, which equals the
-    unsliced result; the value is plan-independent.  A plan whose largest
-    step (per slice) is over the memory budget raises ``CapacityError``
+def contract(net: TensorNetwork, plan: ContractionPlan, assignments=None) -> Tensor:
+    """Execute ``plan``: the sum of its contractions under each of
+    ``assignments`` (default: every one of ``slice_assignments(plan)``, whose
+    sum equals the unsliced result; the value is plan-independent).  A plan
+    that does not fit ``net`` raises ``StructuralError``, and one whose
+    largest step (per slice) is over the memory budget ``CapacityError``,
     before anything is contracted."""
     _check_budget(net, plan)
-    return _contract_slices(net, plan, slice_assignments(plan))
-
-
-def _contract_slices(net: TensorNetwork, plan: ContractionPlan, assignments) -> Tensor:
-    """Sum of the plan's contractions under each of ``assignments``; the
-    caller has run ``_check_budget``."""
     total = None
-    for assignment in assignments:
-        part = _contract_assignment(net, plan, assignment)
+    for assignment in slice_assignments(plan) if assignments is None else assignments:
+        buf = {i: (t.sliced(assignment) if assignment else t) for i, t in enumerate(net.tensors)}
+        for i, j, k in _walk(len(net.tensors), plan.steps):
+            buf[k] = contract_pair(buf.pop(i), buf.pop(j))
+        (part,) = buf.values()
         total = part if total is None else Tensor(part.indices, total.data + part.data)
     return total
-
-
-def _contract_assignment(
-    net: TensorNetwork, plan: ContractionPlan, assignment: dict[str, int]
-) -> Tensor:
-    buf: dict[int, Tensor] = {
-        i: (t.sliced(assignment) if assignment else t) for i, t in enumerate(net.tensors)
-    }
-    if not plan.steps:
-        return next(iter(buf.values()))
-    next_id = plan.num_tensors
-    out = None
-    for i, j in plan.steps:
-        out = contract_pair(buf.pop(i), buf.pop(j))
-        buf[next_id] = out
-        next_id += 1
-    return out
 
 
 def slice_assignments(plan: ContractionPlan):
@@ -452,10 +414,10 @@ def choose_slices(
     """Pick log2(target_slices) labels to slice, greedily minimizing the
     peak intermediate size (ties: larger FLOP reduction, then label order).
 
-    Each pick replays the plan once and scores every candidate label ``L``
-    from that record: slicing ``L`` halves each step whose index union holds
-    ``L``, and takes one index off the peak only when ``L`` is in every
-    tensor of the top size.
+    Each pick prices the plan once with ``_cost`` and scores every
+    candidate label ``L`` from the replayed index sets: slicing ``L`` halves
+    each step whose index union holds ``L``, and takes one index off the
+    peak only when ``L`` is in every tensor of the top size.
     """
     if target_slices < 1 or target_slices & (target_slices - 1):
         raise ConfigError(f"target_slices must be a power of two >= 1, got {target_slices}")
@@ -465,17 +427,16 @@ def choose_slices(
     warning = wanted > len(candidates)
 
     for _ in range(min(wanted, len(candidates))):
-        unions, tensors = _replay_record(
-            plan.num_tensors, plan.steps, _index_sets(net, frozenset(chosen))
-        )
-        flops = sum(1 << len(u) for u in unions)
+        sets = _index_sets(net, frozenset(chosen))
+        flops, _, _ = _cost(plan.steps, sets)
         saved: dict[str, int] = {}
-        for u in filter(None, unions):
-            half = 1 << (len(u) - 1)
-            for label in u:
+        for i, j in plan.steps:
+            union = sets[i] | sets[j]
+            half = (1 << len(union)) // 2
+            for label in union:
                 saved[label] = saved.get(label, 0) + half
-        top = max(len(s) for s in tensors)
-        in_every_top = frozenset.intersection(*(s for s in tensors if len(s) == top))
+        top = max(len(s) for s in sets)
+        in_every_top = frozenset.intersection(*(s for s in sets if len(s) == top))
 
         def key(label: str) -> tuple[int, int, str]:
             peak = 1 << (top - (label in in_every_top))
@@ -485,15 +446,12 @@ def choose_slices(
         chosen.append(best)
         candidates.remove(best)
 
-    per_slice_flops, peak = _replay(
-        plan.num_tensors, plan.steps, _index_sets(net, frozenset(chosen))
-    )
+    flops, peak, _ = _cost(plan.steps, _index_sets(net, frozenset(chosen)))
     return replace(
         plan,
         sliced_labels=tuple(sorted(chosen)),
         slice_warning=warning,
-        per_slice_flops=per_slice_flops,
-        est_flops=per_slice_flops * (1 << len(chosen)),
+        est_flops=flops << len(chosen),
         est_peak_elements=peak,
     )
 

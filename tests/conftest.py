@@ -93,6 +93,18 @@ def _reference_replay(num_tensors, steps, sets):
     return max(flops, 1), peak
 
 
+def _reference_footprint(num_tensors, steps, sets):
+    """Elements the largest step holds at once, its two operands and its
+    output, found by listing every step's tensors; the largest input for a
+    plan without steps."""
+    tensors = list(sets)
+    held = []
+    for k, (i, j) in enumerate(steps, num_tensors):
+        tensors.append(tensors[i] ^ tensors[j])
+        held.append(sum(1 << len(tensors[x]) for x in (i, j, k)))
+    return max(held or [1 << len(s) for s in sets] or [1])
+
+
 def reference_choose_slices(net, plan, target_slices):
     """``choose_slices`` by replaying the whole plan once per candidate label:
     the slow, obviously greedy form that the one-replay scoring must match."""
@@ -120,13 +132,12 @@ def reference_choose_slices(net, plan, target_slices):
         chosen.append(best[1])
         candidates.remove(best[1])
 
-    per_slice_flops, peak = cost(frozenset(chosen))
+    flops, peak = cost(frozenset(chosen))
     return replace(
         plan,
         sliced_labels=tuple(sorted(chosen)),
         slice_warning=warning,
-        per_slice_flops=per_slice_flops,
-        est_flops=per_slice_flops * (1 << len(chosen)),
+        est_flops=flops * (1 << len(chosen)),
         est_peak_elements=peak,
     )
 

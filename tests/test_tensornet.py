@@ -1,4 +1,6 @@
 import math
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +28,13 @@ from qcsim.tensornet import (
     reconstruct_distribution,
 )
 
-from conftest import brute_force_contract, draw_gates, reference_choose_slices
+from conftest import (
+    _reference_footprint,
+    _reference_replay,
+    brute_force_contract,
+    draw_gates,
+    reference_choose_slices,
+)
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -190,7 +198,7 @@ def test_mps_chain_peak_at_most_four():
 
 def test_best_flops_non_increasing_in_samples():
     c = generate(GeneratorSpec(Family.QFT, 8))
-    net = absorb_small_tensors(circuit_to_network(c, "0" * 8))
+    net = build_network(c, "0" * 8)
     best = []
     for samples in (1, 2, 4, 8, 16):
         plan = find_path(net, PathfinderConfig(num_samples=samples, seed=3))
@@ -208,16 +216,15 @@ def test_find_path_deterministic():
 
 def test_est_flops_matches_replay():
     c = generate(GeneratorSpec(Family.HAMILTONIAN, 6))
-    net = absorb_small_tensors(circuit_to_network(c, "0" * 6))
+    net = build_network(c, "0" * 6)
     plan = find_path(net, PathfinderConfig(num_samples=3, seed=5))
-    flops, peak = tensornet._replay(plan.num_tensors, plan.steps, tensornet._index_sets(net))
+    sets = [frozenset(t.indices) for t in net.tensors]
+    flops, peak = _reference_replay(plan.num_tensors, plan.steps, sets)
     assert flops == plan.est_flops
     assert peak == plan.est_peak_elements
 
 
 def _random_plan(net, rng) -> ContractionPlan:
-    from qcsim.tensornet import _replay, _index_sets
-
     active = list(range(len(net.tensors)))
     sets = {i: frozenset(net.tensors[i].indices) for i in active}
     steps = []
@@ -235,14 +242,37 @@ def _random_plan(net, rng) -> ContractionPlan:
         sets[next_id] = sets[i] ^ sets[j]
         active = [x for x in active if x not in (i, j)] + [next_id]
         next_id += 1
-    flops, peak = _replay(len(net.tensors), tuple(steps), _index_sets(net))
+    flops, peak, _ = tensornet._cost(steps, [frozenset(t.indices) for t in net.tensors])
     return ContractionPlan(len(net.tensors), tuple(steps), flops, peak)
+
+
+@pytest.mark.parametrize("family", [Family.QFT, Family.QAOA, Family.RANDOM, Family.VQE])
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("sliced", [False, True])
+def test_cost_matches_reference(family, n, closed, sliced):
+    c = generate(GeneratorSpec(family, n, seed=4))
+    net = build_network(c, "0" * n if closed else None)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        plan = _random_plan(net, rng)
+        if sliced:
+            plan = replace(plan, sliced_labels=choose_slices(net, plan, 4).sliced_labels)
+            assert plan.sliced_labels
+        drop = frozenset(plan.sliced_labels)
+        sets = [frozenset(t.indices) - drop for t in net.tensors]
+        expected = (
+            *_reference_replay(plan.num_tensors, plan.steps, sets),
+            _reference_footprint(plan.num_tensors, plan.steps, sets),
+        )
+        assert tensornet._cost(plan.steps, list(sets)) == expected
+        assert tensornet.step_footprint(net, plan) == expected[2]
 
 
 def test_value_is_plan_independent():
     rng = np.random.default_rng(21)
     c = Circuit(3).h(0).cnot(0, 1).rz(1, 0.3).cnot(1, 2).h(2)
-    net = absorb_small_tensors(circuit_to_network(c, "010"))
+    net = build_network(c, "010")
     assert len(net.tensors) <= 8
     reference = None
     for _ in range(20):
@@ -324,6 +354,19 @@ def test_reconstruct_matches_statevector_with_idle_qubits(c):
     _assert_matches_statevector(c, PathfinderConfig(num_samples=2, seed=0))
 
 
+def _forbid_contraction(monkeypatch, message):
+    """Make ``contract`` fail at its first pairwise step; ``build_network``
+    still absorbs through ``contract_pair`` as usual."""
+    real = tensornet.contract_pair
+
+    def guarded(a, b):
+        if sys._getframe(1).f_code is tensornet.contract.__code__:
+            raise AssertionError(message)
+        return real(a, b)
+
+    monkeypatch.setattr(tensornet, "contract_pair", guarded)
+
+
 def test_distribution_from_plan_refuses_peak_over_budget(monkeypatch):
     # qft-6's open plan peaks above its 2^6 output, at 256 elements, and its
     # largest step holds 384 with its operands; a 7-qubit budget admits the
@@ -334,10 +377,7 @@ def test_distribution_from_plan_refuses_peak_over_budget(monkeypatch):
     assert plan.est_peak_elements > 1 << 7
     monkeypatch.setenv("QCSIM_MAX_QUBITS", "7")
 
-    def no_contraction(*args):
-        raise AssertionError("contracted an over-budget plan")
-
-    monkeypatch.setattr(tensornet, "_contract_assignment", no_contraction)
+    _forbid_contraction(monkeypatch, "contracted an over-budget plan")
     with pytest.raises(CapacityError) as info:
         distribution_from_plan(net, plan)
     assert info.value.required_bytes == 384 * 16
@@ -354,10 +394,7 @@ def test_amplitude_refuses_peak_over_budget(monkeypatch):
     assert plan.est_peak_elements > 1 << 9
     monkeypatch.setenv("QCSIM_MAX_QUBITS", "9")
 
-    def no_contraction(*args):
-        raise AssertionError("contracted an over-budget plan")
-
-    monkeypatch.setattr(tensornet, "_contract_assignment", no_contraction)
+    _forbid_contraction(monkeypatch, "contracted an over-budget plan")
     with pytest.raises(CapacityError) as info:
         amplitude(c, "0" * 10, cfg)
     assert info.value.required_bytes == 5120 * 16
@@ -396,7 +433,7 @@ def test_choose_slices_target_one_is_noop(bell):
 
 
 def test_choose_slices_bell_two_slices(bell):
-    net = absorb_small_tensors(circuit_to_network(bell, "00"))
+    net = build_network(bell, "00")
     plan = find_path(net, PathfinderConfig(num_samples=1))
     sliced = choose_slices(net, plan, 2)
     assert len(sliced.sliced_labels) == 1
@@ -412,7 +449,7 @@ def test_choose_slices_rejects_non_power_of_two(bell):
 
 
 def test_choose_slices_warns_when_labels_exhausted(bell):
-    net = absorb_small_tensors(circuit_to_network(bell, "00"))
+    net = build_network(bell, "00")
     plan = find_path(net, PathfinderConfig(num_samples=1))
     sliced = choose_slices(net, plan, 64)
     assert sliced.slice_warning
@@ -422,7 +459,7 @@ def test_choose_slices_warns_when_labels_exhausted(bell):
 def test_slicing_never_increases_peak():
     for family in Family:
         c = generate(GeneratorSpec(family, 8, seed=2))
-        net = absorb_small_tensors(circuit_to_network(c, "0" * 8))
+        net = build_network(c, "0" * 8)
         plan = find_path(net, PathfinderConfig(num_samples=2, seed=0))
         for target in (2, 4, 8):
             sliced = choose_slices(net, plan, target)
@@ -435,7 +472,7 @@ def test_sliced_sum_identity_across_families():
     for family in Family:
         c = generate(GeneratorSpec(family, 8, seed=5))
         bits = distribution(run(c)).most_likely()
-        net = absorb_small_tensors(circuit_to_network(c, bits))
+        net = build_network(c, bits)
         plan = find_path(net, cfg)
         unsliced = complex(contract(net, plan).data.reshape(()))
         for target in (2, 4, 8, 16):
@@ -500,12 +537,38 @@ def test_choose_slices_matches_reference_on_random_circuits(case, seed, target, 
     lambda net, plan: (net, replace(plan, steps=((0, 0),) + plan.steps[1:])),
     lambda net, plan: (net, replace(plan, steps=plan.steps[:-1] + ((0, 1),))),
 ], ids=["another-network", "partial", "repeated-id", "unavailable-id"])
-def test_plan_network_mismatch_detected(bell, malformed):
+def test_plan_network_mismatch_detected(bell, malformed, monkeypatch):
     net = circuit_to_network(bell, "00")
     plan = find_path(net, PathfinderConfig(num_samples=1))
     net, plan = malformed(net, plan)
+
+    _forbid_contraction(monkeypatch, "contracted before the plan was refused")
     with pytest.raises(StructuralError):
         contract(net, plan)
+
+
+@pytest.mark.parametrize("target", [1, 4])
+def test_contract_frees_each_intermediate_before_the_next_step(monkeypatch, target):
+    # An intermediate consumed at step s must be dead before step s + 1
+    # runs, so the executor never holds more than a step's tensors.
+    c = generate(GeneratorSpec(Family.QFT, 6))
+    net = build_network(c, "0" * 6)
+    plan = choose_slices(net, find_path(net, PathfinderConfig(num_samples=2)), target)
+    made, consumed = [], []
+    real = tensornet.contract_pair
+
+    def watched(a, b):
+        assert all(ref() is None for ref in consumed), "a consumed intermediate is alive"
+        consumed.extend(ref for ref in made if ref() is a or ref() is b)
+        out = real(a, b)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(tensornet, "contract_pair", watched)
+    contract(net, plan)
+    assert len(made) == len(plan.steps) * target
+    # Every intermediate but each slice's result is consumed once.
+    assert len(consumed) == (len(plan.steps) - 1) * target
 
 
 # -- rank-absorption and peak behaviour -------------------------------------
