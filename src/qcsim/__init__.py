@@ -7,7 +7,7 @@ execution, and a metrics-driven backend advisor.
 from .circuit import Circuit, GateOp, bitstring_to_index, index_to_bitstring
 from .gates import GateKind, matrix_of
 from .generators import Family, GeneratorSpec, generate
-from .metrics import InteractionGraph, MetricsReport, compute_all, interaction_graph
+from .metrics import MetricsReport, compute_all
 from .qasm import emit_qasm, parse_qasm
 from .statevector import (
     OutputDistribution,
@@ -45,10 +45,8 @@ __all__ = [
     "Family",
     "GeneratorSpec",
     "generate",
-    "InteractionGraph",
     "MetricsReport",
     "compute_all",
-    "interaction_graph",
     "parse_qasm",
     "emit_qasm",
     "StateVector",

@@ -63,7 +63,9 @@ class Circuit:
     """Ordered gate list on an ``num_qubits``-wide register.
 
     Measure ops may only appear as a trailing suffix; backends treat them as
-    end-of-circuit markers.
+    end-of-circuit markers.  Ops given to the constructor pass the same
+    checks as ``add``: a qubit outside the register raises ``ConfigError``,
+    a gate after a measure ``UnsupportedOpError``.
     """
 
     num_qubits: int
@@ -74,6 +76,9 @@ class Circuit:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ConfigError("circuit needs at least one qubit")
+        ops, self.ops = self.ops, []
+        for op in ops:
+            self.add(op.kind, *op.qubits, angle=op.angle)
 
     # -- assembly -----------------------------------------------------
     def add(self, kind: GateKind, *qubits: int, angle: float | None = None) -> "Circuit":

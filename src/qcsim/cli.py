@@ -17,7 +17,7 @@ import numpy as np
 
 from . import harness, statevector
 from .advisor import Backend, advise_circuit
-from .circuit import Circuit
+from .circuit import Circuit, index_to_bitstring
 from .errors import CapacityError, ConfigError, QasmParseError, QcsimError
 from .generators import GeneratorSpec, family_from_name, generate
 from .metrics import MetricsReport, compute_all
@@ -183,8 +183,11 @@ def _cmd_metrics(args) -> int:
 
 
 def _distribution_payload(dist) -> dict:
-    top = sorted(dist.as_dict(1e-12).items(), key=lambda kv: -kv[1])[:16]
-    return {"num_qubits": dist.num_qubits, "top_outcomes": dict(top)}
+    """The 16 likeliest outcomes above 1e-12, ties in index order."""
+    top = np.argsort(-dist.probs, kind="stable")[:16]
+    return {"num_qubits": dist.num_qubits, "top_outcomes": {
+        index_to_bitstring(int(i), dist.num_qubits): float(dist.probs[i])
+        for i in top if dist.probs[i] > 1e-12}}
 
 
 def _simulate_one(circuit, backend, args):

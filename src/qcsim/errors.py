@@ -45,10 +45,6 @@ class UnsupportedOpError(QcsimError):
     """Operation not handled by this backend (e.g. mid-circuit measurement)."""
 
 
-class MetricUndefinedError(QcsimError):
-    """A topology metric is undefined for this circuit (e.g. no 2q gates)."""
-
-
 class StructuralError(QcsimError):
     """Tensor network or contraction plan is internally inconsistent."""
 

@@ -12,16 +12,22 @@ Five scalar metrics summarize the interaction structure of a circuit:
 * entanglement variance: ``ln(sum_i (c_i - mean)^2 + 1) / N`` over per-qubit
   multi-qubit gate counts ``c_i`` (natural log; 0 iff perfectly balanced).
 
+``compute_all`` gets all of them from one walk over the unitary ops, and it
+is the one place that decides when a metric is undefined (``None``):
+
+* a circuit without gates has none of the five;
+* a one-qubit circuit has no program communication and no parallelism;
+* a circuit without multi-qubit gates has no critical depth.
+
 Measurement ops never count: the metrics describe the unitary part only.
-All functions are pure and thread-safe.
+``compute_all`` is pure and thread-safe.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from .circuit import Circuit, GateOp
-from .errors import MetricUndefinedError
+from .circuit import Circuit
 
 METRIC_NAMES = (
     "program_communication",
@@ -30,18 +36,6 @@ METRIC_NAMES = (
     "parallelism",
     "entanglement_variance",
 )
-
-
-@dataclass
-class InteractionGraph:
-    """Undirected qubit interaction graph of a circuit."""
-
-    num_qubits: int
-    edges: set[tuple[int, int]] = field(default_factory=set)
-    edge_multiplicity: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def degree(self, q: int) -> int:
-        return sum(1 for e in self.edges if q in e)
 
 
 @dataclass
@@ -65,134 +59,55 @@ class MetricsReport:
         return [name for name in METRIC_NAMES if getattr(self, name) is None]
 
     def to_dict(self) -> dict:
-        return {
-            **{name: getattr(self, name) for name in METRIC_NAMES},
-            "entanglement_ratio_effective": self.entanglement_ratio_effective,
-            "n_gates": self.n_gates,
-            "n_two_qubit": self.n_two_qubit,
-            "n_two_qubit_effective": self.n_two_qubit_effective,
-            "depth": self.depth,
-        }
-
-
-def _multi_ops(c: Circuit) -> list[GateOp]:
-    return [op for op in c.unitary_ops if op.is_multi_qubit]
-
-
-def interaction_graph(c: Circuit) -> InteractionGraph:
-    """One edge per distinct interacting pair; multiplicity counts repeats."""
-    g = InteractionGraph(c.num_qubits)
-    for op in _multi_ops(c):
-        a, b = sorted(op.qubits)
-        edge = (a, b)
-        g.edges.add(edge)
-        g.edge_multiplicity[edge] = g.edge_multiplicity.get(edge, 0) + 1
-    return g
-
-
-def program_communication(c: Circuit) -> float:
-    if c.num_qubits < 2:
-        raise MetricUndefinedError("program communication needs at least 2 qubits")
-    g = interaction_graph(c)
-    total_degree = 2 * len(g.edges)
-    return total_degree / (c.num_qubits * (c.num_qubits - 1))
-
-
-def critical_depth(c: Circuit) -> float:
-    """Longest multi-qubit dependency chain over the multi-qubit gate count.
-
-    Gate B depends on gate A when they share a qubit and A precedes B; the
-    chain length counts gates along the longest path of that DAG.
-    """
-    multi = _multi_ops(c)
-    if not multi:
-        raise MetricUndefinedError("critical depth undefined without multi-qubit gates")
-    chain_at: dict[int, int] = {}
-    longest = 0
-    for op in multi:
-        here = 1 + max((chain_at.get(q, 0) for q in op.qubits), default=0)
-        for q in op.qubits:
-            chain_at[q] = here
-        longest = max(longest, here)
-    return longest / len(multi)
-
-
-def entanglement_ratio(c: Circuit) -> float:
-    total, multi = c.gate_counts()
-    if total == 0:
-        raise MetricUndefinedError("entanglement ratio undefined for an empty circuit")
-    return multi / total
-
-
-def asap_depth(c: Circuit) -> int:
-    """Greedy layering: each gate joins the earliest layer after every
-    earlier gate sharing one of its qubits."""
-    level: dict[int, int] = {}
-    depth = 0
-    for op in c.unitary_ops:
-        layer = 1 + max((level.get(q, 0) for q in op.qubits), default=0)
-        for q in op.qubits:
-            level[q] = layer
-        depth = max(depth, layer)
-    return depth
-
-
-def parallelism(c: Circuit) -> float:
-    total, _ = c.gate_counts()
-    if total == 0:
-        raise MetricUndefinedError("parallelism undefined for an empty circuit")
-    if c.num_qubits < 2:
-        raise MetricUndefinedError("parallelism needs at least 2 qubits")
-    d = asap_depth(c)
-    raw = (total / d - 1.0) / (c.num_qubits - 1)
-    return min(1.0, max(0.0, raw))
-
-
-def entanglement_variance(c: Circuit) -> float:
-    counts = [0] * c.num_qubits
-    for op in _multi_ops(c):
-        for q in op.qubits:
-            counts[q] += 1
-    mean = sum(counts) / c.num_qubits
-    spread = sum((x - mean) ** 2 for x in counts)
-    return math.log(spread + 1.0) / c.num_qubits
-
-
-def effective_two_qubit_count(c: Circuit) -> int:
-    """Multi-qubit gate count with consecutive same-pair runs merged.
-
-    "Consecutive" is judged on the subsequence of multi-qubit gates only, so
-    single-qubit gates in between do not break a run.
-    """
-    count = 0
-    prev_pair = None
-    for op in _multi_ops(c):
-        pair = tuple(sorted(op.qubits))
-        if pair != prev_pair:
-            count += 1
-        prev_pair = pair
-    return count
+        return asdict(self)
 
 
 def compute_all(c: Circuit) -> MetricsReport:
-    """All five metrics; undefined ones are left absent, never zeroed."""
-    report = MetricsReport()
-    report.n_gates, report.n_two_qubit = c.gate_counts()
-    report.depth = asap_depth(c)
-    report.n_two_qubit_effective = effective_two_qubit_count(c)
-    if report.n_gates == 0:
+    """All five metrics and the counts behind them, from one walk.
+
+    Each gate joins the ASAP layer after every earlier gate sharing one of
+    its qubits (the depth is the last layer).  A multi-qubit gate extends
+    the longest chain of multi-qubit gates through its qubits (gate B
+    follows A when they share a qubit and A precedes B), adds its qubit
+    pair to the interaction graph and counts once per qubit.  The effective
+    count merges consecutive same-pair runs among the multi-qubit gates, so
+    single-qubit gates in between do not break a run.
+    """
+    n = c.num_qubits
+    layer, chain, count = [0] * n, [0] * n, [0] * n
+    pairs: set[tuple[int, ...]] = set()
+    prev = None
+    n_gates = n_multi = n_effective = depth = longest = 0
+    for op in c.unitary_ops:
+        n_gates += 1
+        here = 1 + max(layer[q] for q in op.qubits)
+        for q in op.qubits:
+            layer[q] = here
+        depth = max(depth, here)
+        if op.is_multi_qubit:
+            n_multi += 1
+            pair = tuple(sorted(op.qubits))
+            n_effective += pair != prev
+            pairs.add(pair)
+            prev = pair
+            link = 1 + max(chain[q] for q in op.qubits)
+            for q in op.qubits:
+                chain[q] = link
+                count[q] += 1
+            longest = max(longest, link)
+
+    report = MetricsReport(
+        n_gates=n_gates, n_two_qubit=n_multi, depth=depth, n_two_qubit_effective=n_effective
+    )
+    if n_gates == 0:
         return report
-    for name, fn in (
-        ("program_communication", program_communication),
-        ("critical_depth", critical_depth),
-        ("entanglement_ratio", entanglement_ratio),
-        ("parallelism", parallelism),
-        ("entanglement_variance", entanglement_variance),
-    ):
-        try:
-            setattr(report, name, fn(c))
-        except MetricUndefinedError:
-            pass
-    if report.entanglement_ratio is not None:
-        report.entanglement_ratio_effective = report.n_two_qubit_effective / report.n_gates
+    if n > 1:
+        report.program_communication = 2 * len(pairs) / (n * (n - 1))
+        report.parallelism = min(1.0, max(0.0, (n_gates / depth - 1.0) / (n - 1)))
+    if n_multi:
+        report.critical_depth = longest / n_multi
+    report.entanglement_ratio = n_multi / n_gates
+    report.entanglement_ratio_effective = n_effective / n_gates
+    mean = sum(count) / n
+    report.entanglement_variance = math.log(sum((x - mean) ** 2 for x in count) + 1.0) / n
     return report

@@ -18,14 +18,15 @@ slice when sliced), and for a distribution first its ``2^n`` output, is
 checked against the one memory budget of ``statevector.check_budget``;
 work over it raises ``CapacityError``.
 
-A plan is a full binary contraction in SSA form: ids below ``num_tensors``
-are the network's tensors in order, and step ``k`` contracts ids
-``steps[k] = (i, j)`` into the new id ``num_tensors + k``.  ``_walk`` is the
-one place that follows those ids and refuses a plan that is not such a
-contraction.  ``_cost`` is the one cost model: every index has dimension 2,
-so a step over operands with index sets ``a`` and ``b`` costs exactly
-``2^|a | b|`` FLOPs, its output holds ``2^|a ^ b|`` elements, and while it
-runs it holds both operands plus that output.
+A plan is a full binary contraction in SSA form over the network it was
+planned on: with ``m`` the network's tensor count, ids below ``m`` are its
+tensors in order, and step ``k`` contracts ids ``steps[k] = (i, j)`` into
+the new id ``m + k``.  ``_walk`` is the one place that follows those ids
+and refuses a plan that is not such a contraction of the network.
+``_cost`` is the one cost model: every index has dimension 2, so a step
+over operands with index sets ``a`` and ``b`` costs exactly ``2^|a | b|``
+FLOPs, its output holds ``2^|a ^ b|`` elements, and while it runs it holds
+both operands plus that output.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
 keeps the plan with the lowest estimated FLOP count; estimated peak size is
@@ -230,11 +231,10 @@ def contract_pair(a: Tensor, b: Tensor) -> Tensor:
 
 @dataclass(frozen=True)
 class ContractionPlan:
-    """Full binary contraction of a network of ``num_tensors`` tensors in
-    SSA form (see the module docstring).  ``est_flops`` counts every slice;
+    """Full binary contraction of the network's tensors in SSA form (see
+    the module docstring).  ``est_flops`` counts every slice;
     ``est_peak_elements`` is the largest tensor of one slice."""
 
-    num_tensors: int
     steps: tuple[tuple[int, int], ...]
     est_flops: int
     est_peak_elements: int
@@ -365,7 +365,7 @@ def find_path(net: TensorNetwork, cfg: PathfinderConfig, executor=None) -> Contr
     tasks = [(sets, cfg.seed, sample) for sample in range(cfg.num_samples)]
     runs = map(_descent, tasks) if executor is None else executor.map(_descent, tasks)
     (flops, _), steps, peak = min(runs, key=lambda r: r[0])
-    return ContractionPlan(len(net.tensors), steps, flops, peak)
+    return ContractionPlan(steps, flops, peak)
 
 
 def step_footprint(net: TensorNetwork, plan: ContractionPlan) -> int:

@@ -3,7 +3,9 @@
 The dense oracle evolves states by explicit basis-index arithmetic (bit
 extraction and scatter), a different algorithm from the SV backend's
 strided block updates and the TN backend's contractions, so they can check
-each other.
+each other.  ``reference_metrics`` computes each topology metric in its own
+walk over the circuit, the slow form that ``metrics.compute_all``'s single
+walk must match.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from qcsim.circuit import Circuit
 from qcsim.errors import ConfigError
 from qcsim.gates import GateKind
+from qcsim.metrics import MetricsReport
 
 
 def dense_apply(state: np.ndarray, op, n: int) -> np.ndarray:
@@ -117,7 +120,7 @@ def reference_choose_slices(net, plan, target_slices):
 
     def cost(drop):
         sets = [frozenset(t.indices) - drop for t in net.tensors]
-        return _reference_replay(plan.num_tensors, plan.steps, sets)
+        return _reference_replay(len(plan.steps) + 1, plan.steps, sets)
 
     for _ in range(wanted):
         if not candidates:
@@ -140,6 +143,89 @@ def reference_choose_slices(net, plan, target_slices):
         est_flops=flops * (1 << len(chosen)),
         est_peak_elements=peak,
     )
+
+
+def _multi_ops(c: Circuit):
+    return [op for op in c.unitary_ops if op.is_multi_qubit]
+
+
+def _program_communication(c: Circuit):
+    if c.num_qubits < 2:
+        return None
+    edges = {tuple(sorted(op.qubits)) for op in _multi_ops(c)}
+    degrees = [sum(1 for e in edges if q in e) for q in range(c.num_qubits)]
+    return sum(degrees) / (c.num_qubits * (c.num_qubits - 1))
+
+
+def _critical_depth(c: Circuit):
+    multi = _multi_ops(c)
+    if not multi:
+        return None
+    chain_at: dict[int, int] = {}
+    longest = 0
+    for op in multi:
+        here = 1 + max((chain_at.get(q, 0) for q in op.qubits), default=0)
+        for q in op.qubits:
+            chain_at[q] = here
+        longest = max(longest, here)
+    return longest / len(multi)
+
+
+def _asap_depth(c: Circuit) -> int:
+    level: dict[int, int] = {}
+    depth = 0
+    for op in c.unitary_ops:
+        layer = 1 + max((level.get(q, 0) for q in op.qubits), default=0)
+        for q in op.qubits:
+            level[q] = layer
+        depth = max(depth, layer)
+    return depth
+
+
+def _parallelism(c: Circuit):
+    total, _ = c.gate_counts()
+    if c.num_qubits < 2:
+        return None
+    raw = (total / _asap_depth(c) - 1.0) / (c.num_qubits - 1)
+    return min(1.0, max(0.0, raw))
+
+
+def _entanglement_variance(c: Circuit) -> float:
+    counts = [0] * c.num_qubits
+    for op in _multi_ops(c):
+        for q in op.qubits:
+            counts[q] += 1
+    mean = sum(counts) / c.num_qubits
+    spread = sum((x - mean) ** 2 for x in counts)
+    return math.log(spread + 1.0) / c.num_qubits
+
+
+def _effective_two_qubit_count(c: Circuit) -> int:
+    count = 0
+    prev_pair = None
+    for op in _multi_ops(c):
+        pair = tuple(sorted(op.qubits))
+        if pair != prev_pair:
+            count += 1
+        prev_pair = pair
+    return count
+
+
+def reference_metrics(c: Circuit) -> MetricsReport:
+    """Every metric from its own walk; all five absent without gates."""
+    report = MetricsReport()
+    report.n_gates, report.n_two_qubit = c.gate_counts()
+    report.depth = _asap_depth(c)
+    report.n_two_qubit_effective = _effective_two_qubit_count(c)
+    if report.n_gates == 0:
+        return report
+    report.program_communication = _program_communication(c)
+    report.critical_depth = _critical_depth(c)
+    report.entanglement_ratio = report.n_two_qubit / report.n_gates
+    report.parallelism = _parallelism(c)
+    report.entanglement_variance = _entanglement_variance(c)
+    report.entanglement_ratio_effective = report.n_two_qubit_effective / report.n_gates
+    return report
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from qcsim.cli import main
+from qcsim import statevector
+from qcsim.cli import _distribution_payload, main
+from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.qasm import parse_qasm
 
 
@@ -80,6 +82,20 @@ def test_simulate_bell_sv(tmp_path, capsys):
     assert payload["top_outcomes"]["11"] == pytest.approx(0.5)
     # CNOT joins the block H starts on band 0: the plan is one GEMM.
     assert payload["passes"] == {"move": 0, "gemm": 1, "phase": 0}
+
+
+@pytest.mark.parametrize("family", [Family.QFT, Family.BERNSTEIN_VAZIRANI])
+def test_distribution_payload_is_the_top_16_without_a_full_dict(family, monkeypatch):
+    dist = statevector.distribution(statevector.run(generate(GeneratorSpec(family, 8))))
+    expected = dict(sorted(dist.as_dict(1e-12).items(), key=lambda kv: -kv[1])[:16])
+
+    def no_full_dict(*args, **kwargs):
+        raise AssertionError("the payload built the 2^n outcome dict")
+
+    monkeypatch.setattr(statevector.OutputDistribution, "as_dict", no_full_dict)
+    payload = _distribution_payload(dist)
+    assert payload["num_qubits"] == 8
+    assert list(payload["top_outcomes"].items()) == list(expected.items())
 
 
 def test_simulate_bell_tn_matches(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from qcsim import statevector, tensornet
 from qcsim.circuit import Circuit, GateOp
-from qcsim.errors import ConfigError, QcsimError
+from qcsim.errors import ConfigError, QcsimError, UnsupportedOpError
 from qcsim.gates import GateKind
 from qcsim.generators import Family, GeneratorSpec, family_from_name, generate
 
@@ -33,3 +33,22 @@ def test_input_error_is_typed(call):
         call()
     # Callers that catch ValueError keep working.
     assert isinstance(info.value, ConfigError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "ops, error",
+    [
+        ([GateOp(GateKind.H, (5,))], ConfigError),
+        (
+            [GateOp(GateKind.H, (0,)), GateOp(GateKind.MEASURE, (0,)),
+             GateOp(GateKind.CNOT, (0, 1))],
+            UnsupportedOpError,
+        ),
+    ],
+    ids=["qubit-outside", "gate-after-measure"],
+)
+def test_circuit_checks_the_ops_it_is_given(ops, error):
+    with pytest.raises(error):
+        Circuit(2, ops=ops)
+    valid = ops[:-1]
+    assert Circuit(2, ops=valid).ops == valid

@@ -4,7 +4,6 @@ import pytest
 from qcsim import distribution, run
 from qcsim.circuit import Circuit
 from qcsim.generators import Family, GeneratorSpec, family_from_name, generate
-from qcsim.metrics import interaction_graph
 
 
 def expected_counts(family: Family, n: int, p=1, k=0.5, m=None, l=1, t=1):
@@ -111,12 +110,6 @@ def test_family_aliases():
     assert family_from_name("Bernstein-Vazirani") is Family.BERNSTEIN_VAZIRANI
     with pytest.raises(ValueError):
         family_from_name("grover")
-
-
-def test_qaoa_interaction_graph_is_complete():
-    g = interaction_graph(generate(GeneratorSpec(Family.QAOA, 4)))
-    assert len(g.edges) == 6
-    assert all(mult == 2 for mult in g.edge_multiplicity.values())
 
 
 # -- functional correctness (state-vector backed) -------------------------

@@ -2,21 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import draw_gates, reference_metrics
 from qcsim.circuit import Circuit
-from qcsim.errors import MetricUndefinedError
 from qcsim.generators import Family, GeneratorSpec, generate
-from qcsim.metrics import (
-    asap_depth,
-    compute_all,
-    critical_depth,
-    effective_two_qubit_count,
-    entanglement_ratio,
-    entanglement_variance,
-    interaction_graph,
-    parallelism,
-    program_communication,
-)
+from qcsim.metrics import compute_all
 
 
 def cnot_chain(n: int) -> Circuit:
@@ -26,69 +18,56 @@ def cnot_chain(n: int) -> Circuit:
     return c
 
 
-def test_interaction_graph_bell(bell):
-    g = interaction_graph(bell)
-    assert g.edges == {(0, 1)}
-    assert g.edge_multiplicity[(0, 1)] == 1
-
-
-def test_interaction_graph_chain_degrees():
-    g = interaction_graph(cnot_chain(4))
-    assert [g.degree(q) for q in range(4)] == [1, 2, 2, 1]
-
-
 def test_program_communication_chain():
     # oracle: (1+2+2+1) / (4*3)
-    assert program_communication(cnot_chain(4)) == pytest.approx(0.5)
+    assert compute_all(cnot_chain(4)).program_communication == pytest.approx(0.5)
 
 
 def test_program_communication_no_multi_gate():
     c = Circuit(3).h(0).h(1).h(2)
-    assert program_communication(c) == 0.0
+    assert compute_all(c).program_communication == 0.0
 
 
 def test_program_communication_qaoa_is_one():
     for n in (3, 5, 8):
-        assert program_communication(generate(GeneratorSpec(Family.QAOA, n))) == 1.0
+        assert compute_all(generate(GeneratorSpec(Family.QAOA, n))).program_communication == 1.0
 
 
 def test_critical_depth_chain_is_one():
-    assert critical_depth(cnot_chain(5)) == 1.0
+    assert compute_all(cnot_chain(5)).critical_depth == 1.0
 
 
 def test_critical_depth_disjoint_pairs():
     c = Circuit(4).cnot(0, 1).cnot(2, 3)
-    assert critical_depth(c) == pytest.approx(0.5)
+    assert compute_all(c).critical_depth == pytest.approx(0.5)
 
 
 def test_critical_depth_bell(bell):
-    assert critical_depth(bell) == 1.0
+    assert compute_all(bell).critical_depth == 1.0
 
 
 def test_critical_depth_undefined_without_multi_gates():
-    with pytest.raises(MetricUndefinedError):
-        critical_depth(Circuit(2).h(0))
+    assert compute_all(Circuit(2).h(0)).critical_depth is None
 
 
 def test_entanglement_ratio_cases(bell):
-    assert entanglement_ratio(bell) == pytest.approx(0.5)
-    assert entanglement_ratio(Circuit(2).h(0).h(1)) == 0.0
-    with pytest.raises(MetricUndefinedError):
-        entanglement_ratio(Circuit(2))
+    assert compute_all(bell).entanglement_ratio == pytest.approx(0.5)
+    assert compute_all(Circuit(2).h(0).h(1)).entanglement_ratio == 0.0
+    assert compute_all(Circuit(2)).entanglement_ratio is None
 
 
 def test_entanglement_ratio_qaoa_saturation():
     c = generate(GeneratorSpec(Family.QAOA, 32))
-    assert entanglement_ratio(c) == pytest.approx(0.6, abs=0.05)
+    assert compute_all(c).entanglement_ratio == pytest.approx(0.6, abs=0.05)
 
 
 def test_entanglement_ratio_qft_high():
-    assert entanglement_ratio(generate(GeneratorSpec(Family.QFT, 32))) > 0.9
+    assert compute_all(generate(GeneratorSpec(Family.QFT, 32))).entanglement_ratio > 0.9
 
 
 def test_parallelism_serial_is_zero():
     c = Circuit(2).h(0).x(0).z(0)
-    assert parallelism(c) == 0.0
+    assert compute_all(c).parallelism == 0.0
 
 
 def test_parallelism_single_layer_is_one():
@@ -96,8 +75,9 @@ def test_parallelism_single_layer_is_one():
     c = Circuit(n)
     for q in range(n):
         c.h(q)
-    assert asap_depth(c) == 1
-    assert parallelism(c) == 1.0
+    r = compute_all(c)
+    assert r.depth == 1
+    assert r.parallelism == 1.0
 
 
 def test_entanglement_variance_star():
@@ -105,22 +85,22 @@ def test_entanglement_variance_star():
     c = Circuit(5)
     for q in range(1, 5):
         c.cnot(0, q)
-    assert entanglement_variance(c) == pytest.approx(math.log(7.2 + 1.0) / 5)
+    assert compute_all(c).entanglement_variance == pytest.approx(math.log(7.2 + 1.0) / 5)
 
 
 def test_entanglement_variance_balanced_is_zero():
     c = Circuit(4).cnot(0, 1).cnot(2, 3)
-    assert entanglement_variance(c) == 0.0
+    assert compute_all(c).entanglement_variance == 0.0
 
 
 def test_entanglement_variance_qaoa_exact_zero():
     for n in (2, 7, 16):
-        assert entanglement_variance(generate(GeneratorSpec(Family.QAOA, n))) == 0.0
+        assert compute_all(generate(GeneratorSpec(Family.QAOA, n))).entanglement_variance == 0.0
 
 
 def test_effective_two_qubit_count_merges_runs():
     c = Circuit(3).cnot(0, 1).rz(1, 0.3).cnot(0, 1).cnot(1, 2)
-    assert effective_two_qubit_count(c) == 2
+    assert compute_all(c).n_two_qubit_effective == 2
 
 
 def test_compute_all_bell(bell):
@@ -213,6 +193,35 @@ def test_metrics_invariant_under_qubit_relabeling(family):
 
 def test_ev_zero_iff_balanced():
     balanced = Circuit(4).cnot(0, 1).cnot(2, 3).cnot(0, 1).cnot(2, 3)
-    assert entanglement_variance(balanced) == 0.0
+    assert compute_all(balanced).entanglement_variance == 0.0
     unbalanced = Circuit(4).cnot(0, 1).cnot(0, 1).cnot(2, 3)
-    assert entanglement_variance(unbalanced) > 0.0
+    assert compute_all(unbalanced).entanglement_variance > 0.0
+
+
+def test_one_qubit_circuit_lacks_communication_and_parallelism():
+    r = compute_all(Circuit(1).h(0).x(0))
+    assert r.absent() == ["program_communication", "critical_depth", "parallelism"]
+    assert r.entanglement_ratio == 0.0 and r.entanglement_variance == 0.0
+
+
+@st.composite
+def random_circuits(draw):
+    n = draw(st.integers(1, 9))
+    c = draw_gates(draw, Circuit(n), range(n), 30)
+    if draw(st.booleans()):
+        for q in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            c.measure(q)
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_circuits())
+def test_compute_all_matches_reference_on_random_circuits(c):
+    assert compute_all(c) == reference_metrics(c)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_compute_all_matches_reference_on_families(family):
+    for n in range(2, 13):
+        c = generate(GeneratorSpec(family, n, seed=n))
+        assert compute_all(c) == reference_metrics(c), n

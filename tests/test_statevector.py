@@ -83,7 +83,7 @@ def test_default_budget_follows_available_memory(monkeypatch):
         labels = tuple(f"i{k}" for k in range(rank))
         return TensorNetwork([Tensor(labels, np.zeros((2,) * rank, complex))], labels)
 
-    plan = ContractionPlan(num_tensors=1, steps=(), est_flops=1, est_peak_elements=1 << 11)
+    plan = ContractionPlan(steps=(), est_flops=1, est_peak_elements=1 << 11)
     with pytest.raises(CapacityError):
         _check_budget(one_tensor(11), plan)
     _check_budget(one_tensor(10), replace(plan, est_peak_elements=1 << 10))

@@ -219,7 +219,7 @@ def test_est_flops_matches_replay():
     net = build_network(c, "0" * 6)
     plan = find_path(net, PathfinderConfig(num_samples=3, seed=5))
     sets = [frozenset(t.indices) for t in net.tensors]
-    flops, peak = _reference_replay(plan.num_tensors, plan.steps, sets)
+    flops, peak = _reference_replay(len(plan.steps) + 1, plan.steps, sets)
     assert flops == plan.est_flops
     assert peak == plan.est_peak_elements
 
@@ -243,7 +243,7 @@ def _random_plan(net, rng) -> ContractionPlan:
         active = [x for x in active if x not in (i, j)] + [next_id]
         next_id += 1
     flops, peak, _ = tensornet._cost(steps, [frozenset(t.indices) for t in net.tensors])
-    return ContractionPlan(len(net.tensors), tuple(steps), flops, peak)
+    return ContractionPlan(tuple(steps), flops, peak)
 
 
 @pytest.mark.parametrize("family", [Family.QFT, Family.QAOA, Family.RANDOM, Family.VQE])
@@ -262,8 +262,8 @@ def test_cost_matches_reference(family, n, closed, sliced):
         drop = frozenset(plan.sliced_labels)
         sets = [frozenset(t.indices) - drop for t in net.tensors]
         expected = (
-            *_reference_replay(plan.num_tensors, plan.steps, sets),
-            _reference_footprint(plan.num_tensors, plan.steps, sets),
+            *_reference_replay(len(plan.steps) + 1, plan.steps, sets),
+            _reference_footprint(len(plan.steps) + 1, plan.steps, sets),
         )
         assert tensornet._cost(plan.steps, list(sets)) == expected
         assert tensornet.step_footprint(net, plan) == expected[2]
