@@ -16,7 +16,6 @@ from .statevector import (
     distribution,
     init_zero,
     run,
-    sample,
     sv_memory_bytes,
 )
 from .tensornet import (
@@ -55,7 +54,6 @@ __all__ = [
     "apply_gate",
     "run",
     "distribution",
-    "sample",
     "sv_memory_bytes",
     "Tensor",
     "TensorNetwork",

@@ -1,13 +1,16 @@
 """Circuit intermediate representation consumed by every other module.
 
-A :class:`Circuit` is an ordered list of :class:`GateOp` on ``num_qubits``
-wires plus a free-form ``params`` map recording how it was generated.
-Instances are treated as immutable after construction (the builder methods
-are for assembly); they are safe to share across threads.
+A :class:`Circuit` is an ordered sequence of :class:`GateOp` on
+``num_qubits`` wires plus a free-form ``params`` map recording how it was
+generated.  Ops grow only through ``add``, which checks each one (the
+constructor's ``ops`` pass through it too); ``num_qubits`` is read-only and
+``ops`` and ``unitary_ops`` are read-only tuples, so every metric, backend
+and serializer sees only checked ops.  Instances are safe to share across
+threads once assembled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,33 +53,25 @@ class GateOp:
     def matrix(self) -> np.ndarray:
         return matrix_of(self.kind, self.angle)
 
-    def structurally_equal(self, other: "GateOp", angle_tol: float = 1e-12) -> bool:
-        if self.kind is not other.kind or self.qubits != other.qubits:
-            return False
-        if self.angle is None or other.angle is None:
-            return self.angle is None and other.angle is None
-        return abs(self.angle - other.angle) <= angle_tol
 
-
-@dataclass
 class Circuit:
-    """Ordered gate list on an ``num_qubits``-wide register.
+    """Ordered gate sequence on an ``num_qubits``-wide register.
 
     Measure ops may only appear as a trailing suffix; backends treat them as
-    end-of-circuit markers.  Ops given to the constructor pass the same
-    checks as ``add``: a qubit outside the register raises ``ConfigError``,
-    a gate after a measure ``UnsupportedOpError``.
+    end-of-circuit markers.  ``add`` refuses a qubit outside the register
+    with ``ConfigError`` and a gate after a measure with
+    ``UnsupportedOpError``; ops given to the constructor pass the same
+    checks.
     """
 
-    num_qubits: int
-    ops: list[GateOp] = field(default_factory=list)
-    name: str = ""
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.num_qubits < 1:
+    def __init__(self, num_qubits: int, ops=(), name: str = "", params: dict | None = None):
+        if num_qubits < 1:
             raise ConfigError("circuit needs at least one qubit")
-        ops, self.ops = self.ops, []
+        self._num_qubits = num_qubits
+        self.name = name
+        self.params = {} if params is None else params
+        self._ops: list[GateOp] = []
+        self._num_unitary = 0  # the ops before the trailing measures
         for op in ops:
             self.add(op.kind, *op.qubits, angle=op.angle)
 
@@ -84,11 +79,13 @@ class Circuit:
     def add(self, kind: GateKind, *qubits: int, angle: float | None = None) -> "Circuit":
         op = GateOp(kind, tuple(qubits), angle)
         for q in op.qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ConfigError(f"qubit {q} outside register of width {self.num_qubits}")
-        if self.ops and self.ops[-1].is_measure and not op.is_measure:
+            if not 0 <= q < self._num_qubits:
+                raise ConfigError(f"qubit {q} outside register of width {self._num_qubits}")
+        # The count test first: without a measure it settles the check.
+        if self._num_unitary < len(self._ops) and not op.is_measure:
             raise UnsupportedOpError("gates after a measurement are not supported")
-        self.ops.append(op)
+        self._ops.append(op)
+        self._num_unitary += not op.is_measure
         return self
 
     def h(self, q):
@@ -130,29 +127,19 @@ class Circuit:
     def measure(self, q):
         return self.add(GateKind.MEASURE, q)
 
-    def measure_all(self):
-        for q in range(self.num_qubits):
-            self.measure(q)
-        return self
-
     # -- views --------------------------------------------------------
     @property
-    def unitary_ops(self) -> list[GateOp]:
+    def num_qubits(self) -> int:
+        return self._num_qubits
+
+    @property
+    def ops(self) -> tuple[GateOp, ...]:
+        return tuple(self._ops)
+
+    @property
+    def unitary_ops(self) -> tuple[GateOp, ...]:
         """Ops with the trailing measurement suffix stripped."""
-        return [op for op in self.ops if not op.is_measure]
-
-    def gate_counts(self) -> tuple[int, int]:
-        """(total, multi-qubit) gate counts, measurements excluded."""
-        total = multi = 0
-        for op in self.unitary_ops:
-            total += 1
-            multi += op.is_multi_qubit
-        return total, multi
-
-    def structurally_equal(self, other: "Circuit", angle_tol: float = 1e-12) -> bool:
-        if self.num_qubits != other.num_qubits or len(self.ops) != len(other.ops):
-            return False
-        return all(a.structurally_equal(b, angle_tol) for a, b in zip(self.ops, other.ops))
+        return tuple(self._ops[: self._num_unitary])
 
     def __repr__(self):
         label = self.name or "circuit"

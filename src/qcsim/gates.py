@@ -109,9 +109,3 @@ def matrix_of(kind: GateKind, angle: float | None = None) -> np.ndarray:
     if kind is GateKind.CP:
         return np.diag([1.0, 1.0, 1.0, np.exp(1j * t)]).astype(np.complex128)
     raise NoMatrixError(f"no matrix known for {kind}")  # pragma: no cover
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """Entry-wise check of m^dagger m = I within ``tol``."""
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)

@@ -115,7 +115,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .circuit import Circuit, GateOp, index_to_bitstring
+from .circuit import Circuit, GateOp
 from .errors import CapacityError, ConfigError, UnsupportedOpError
 
 _log = logging.getLogger(__name__)
@@ -218,16 +218,6 @@ def sv_memory_bytes(n: int, precision: str = "single") -> int:
 class StateVector:
     num_qubits: int
     amps: np.ndarray
-
-    @property
-    def precision(self) -> str:
-        return "single" if self.amps.dtype == np.complex64 else "double"
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amps.copy())
 
 
 def _check_capacity(n: int, precision: str) -> None:
@@ -436,7 +426,7 @@ def _phase_pass(amps: np.ndarray, g: float, a: np.ndarray, b: np.ndarray,
 
 def _check_qubits(op: GateOp, n: int) -> None:
     if op.is_measure:
-        raise UnsupportedOpError("measurement is handled by sampling, not apply_gate")
+        raise UnsupportedOpError("a measure is an end-of-circuit marker, not a gate")
     for q in op.qubits:
         if not 0 <= q < n:
             raise ConfigError(f"qubit {q} outside register of width {n}")
@@ -684,7 +674,8 @@ def run(c: Circuit, precision: str = "double") -> StateVector:
     the gate count and the plan's passes over the state, split into block
     moves, GEMMs and phase passes.
 
-    Trailing measurement markers are skipped; sample the result instead.
+    A trailing measure is an end-of-circuit marker, not a gate, and is
+    skipped.
     """
     _check_capacity(c.num_qubits, precision)
     scratch = np.empty(TILE, dtype=precision_dtype(precision))
@@ -709,43 +700,7 @@ class OutputDistribution:
     num_qubits: int
     probs: np.ndarray
 
-    def as_dict(self, cutoff: float = 0.0) -> dict[str, float]:
-        return {
-            index_to_bitstring(i, self.num_qubits): float(p)
-            for i, p in enumerate(self.probs)
-            if p > cutoff
-        }
-
-    def most_likely(self) -> str:
-        return index_to_bitstring(int(np.argmax(self.probs)), self.num_qubits)
-
-    def marginal(self, qubits: list[int]) -> "OutputDistribution":
-        """Distribution over ``qubits`` (in the given order), others summed
-        out; ``qubits[0]`` is the least-significant bit of its index."""
-        n, m = self.num_qubits, len(qubits)
-        grid = self.probs.reshape([2] * n)
-        # Axis n-1-q holds qubit q.  Leading with the last listed qubit makes
-        # the flat index little-endian over the listed qubits.
-        kept_axes = [n - 1 - q for q in reversed(qubits)]
-        grid = np.moveaxis(grid, kept_axes, range(m))
-        return OutputDistribution(m, grid.reshape(1 << m, -1).sum(axis=1))
-
 
 def distribution(sv: StateVector) -> OutputDistribution:
     probs = np.abs(sv.amps.astype(np.complex128, copy=False)) ** 2
     return OutputDistribution(sv.num_qubits, probs)
-
-
-def sample(sv: StateVector, shots: int, seed: int = 0) -> dict[str, int]:
-    """Multinomial measurement counts; identical seeds give identical maps."""
-    if shots < 1:
-        raise ConfigError("shots must be >= 1")
-    dist = distribution(sv)
-    probs = dist.probs / dist.probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {
-        index_to_bitstring(i, sv.num_qubits): int(count)
-        for i, count in enumerate(counts)
-        if count
-    }

@@ -5,7 +5,9 @@ per input qubit, a rank-2 ``(in, out)`` tensor per 1-qubit gate, a rank-4
 ``(in_a, in_b, out_a, out_b)`` tensor per 2-qubit gate.  The final wire of
 each qubit is an open index unless a target bitstring closes it with the
 conjugate basis vector, in which case full contraction yields that
-bitstring's probability amplitude.
+bitstring's probability amplitude.  A circuit's trailing measure markers
+become no tensor; a measure mid-circuit cannot occur, since ``Circuit.add``
+refuses a gate after a measure.
 
 Every entry point runs the same pipeline: ``build_network`` (conversion
 plus absorption of the rank-1 tensors), ``find_path``, then ``contract``.
@@ -45,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Circuit
-from .errors import ConfigError, StructuralError, UnsupportedOpError
+from .errors import ConfigError, StructuralError
 from .statevector import OutputDistribution, check_budget
 
 _BASIS = (np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128))
@@ -111,17 +113,12 @@ class TensorNetwork:
 
 def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwork:
     """Convert a circuit (and optional output bitstring) to a tensor network.
-    A bitstring that is not ``n`` characters ``0`` or ``1`` raises
-    ``ConfigError``."""
-    ops = list(c.ops)
-    # Trailing measurement markers are fine; mid-circuit ones are not.
-    tail = len(ops)
-    while tail and ops[tail - 1].is_measure:
-        tail -= 1
-    if any(op.is_measure for op in ops[:tail]):
-        raise UnsupportedOpError("mid-circuit measurement cannot become a tensor network")
-    ops = ops[:tail]
 
+    The network holds the circuit's unitary ops; trailing measure markers
+    are left out, and ``Circuit.add`` already refuses a gate after a
+    measure.  A bitstring that is not ``n`` characters ``0`` or ``1``
+    raises ``ConfigError``.
+    """
     n = c.num_qubits
     if bitstring is not None:
         if len(bitstring) != n:
@@ -139,7 +136,7 @@ def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwor
         wire[q] = f"q{q}w{counter[q]}"
         return wire[q]
 
-    for op in ops:
+    for op in c.unitary_ops:
         matrix = op.matrix()
         if len(op.qubits) == 1:
             q = op.qubits[0]

@@ -5,7 +5,9 @@ extraction and scatter), a different algorithm from the SV backend's
 strided block updates and the TN backend's contractions, so they can check
 each other.  ``reference_metrics`` computes each topology metric in its own
 walk over the circuit, the slow form that ``metrics.compute_all``'s single
-walk must match.
+walk must match.  The small readers of circuits, matrices and output
+distributions below (gate counts, unitarity, outcome maps, marginals) are
+what the tests need and the library does not.
 """
 from __future__ import annotations
 
@@ -16,10 +18,49 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qcsim.circuit import Circuit
+from qcsim.circuit import Circuit, index_to_bitstring
 from qcsim.errors import ConfigError
 from qcsim.gates import GateKind
 from qcsim.metrics import MetricsReport
+from qcsim.statevector import OutputDistribution
+
+
+def gate_counts(c: Circuit) -> tuple[int, int]:
+    """(total, multi-qubit) gate counts, measurements excluded."""
+    return len(c.unitary_ops), sum(op.is_multi_qubit for op in c.unitary_ops)
+
+
+def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
+    """Entry-wise check of m^dagger m = I within ``tol``."""
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+
+
+def outcomes(dist: OutputDistribution, cutoff: float = 0.0) -> dict[str, float]:
+    """Bitstring -> probability of every outcome above ``cutoff``, in index
+    order (character ``i`` is qubit ``i``)."""
+    return {index_to_bitstring(i, dist.num_qubits): float(p)
+            for i, p in enumerate(dist.probs) if p > cutoff}
+
+
+def top_outcomes(dist: OutputDistribution) -> dict[str, float]:
+    """The 16 likeliest outcomes above 1e-12 by a stable sort of the full
+    outcome map: ties stay in index order."""
+    return dict(sorted(outcomes(dist, 1e-12).items(), key=lambda kv: -kv[1])[:16])
+
+
+def most_likely(dist: OutputDistribution) -> str:
+    return index_to_bitstring(int(np.argmax(dist.probs)), dist.num_qubits)
+
+
+def marginal(dist: OutputDistribution, qubits: list[int]) -> OutputDistribution:
+    """Distribution over ``qubits`` (in the given order), the others summed
+    out; ``qubits[0]`` is the least-significant bit of its index."""
+    n, m = dist.num_qubits, len(qubits)
+    grid = dist.probs.reshape([2] * n)
+    # Axis n-1-q holds qubit q.  Leading with the last listed qubit makes the
+    # flat index little-endian over the listed qubits.
+    grid = np.moveaxis(grid, [n - 1 - q for q in reversed(qubits)], range(m))
+    return OutputDistribution(m, grid.reshape(1 << m, -1).sum(axis=1))
 
 
 def dense_apply(state: np.ndarray, op, n: int) -> np.ndarray:
@@ -183,7 +224,7 @@ def _asap_depth(c: Circuit) -> int:
 
 
 def _parallelism(c: Circuit):
-    total, _ = c.gate_counts()
+    total, _ = gate_counts(c)
     if c.num_qubits < 2:
         return None
     raw = (total / _asap_depth(c) - 1.0) / (c.num_qubits - 1)
@@ -214,7 +255,7 @@ def _effective_two_qubit_count(c: Circuit) -> int:
 def reference_metrics(c: Circuit) -> MetricsReport:
     """Every metric from its own walk; all five absent without gates."""
     report = MetricsReport()
-    report.n_gates, report.n_two_qubit = c.gate_counts()
+    report.n_gates, report.n_two_qubit = gate_counts(c)
     report.depth = _asap_depth(c)
     report.n_two_qubit_effective = _effective_two_qubit_count(c)
     if report.n_gates == 0:

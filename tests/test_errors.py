@@ -1,4 +1,5 @@
 """Every library input error is a typed ``QcsimError``."""
+import numpy as np
 import pytest
 
 from qcsim import statevector, tensornet
@@ -6,6 +7,8 @@ from qcsim.circuit import Circuit, GateOp
 from qcsim.errors import ConfigError, QcsimError, UnsupportedOpError
 from qcsim.gates import GateKind
 from qcsim.generators import Family, GeneratorSpec, family_from_name, generate
+from qcsim.metrics import compute_all
+from qcsim.qasm import emit_qasm, parse_qasm
 
 BAD_INPUTS = {
     "gate-arity": lambda: GateOp(GateKind.CNOT, (0,)),
@@ -17,7 +20,6 @@ BAD_INPUTS = {
     "sv-qubit-outside": lambda: statevector.apply_gate(
         statevector.init_zero(2), GateOp(GateKind.H, (3,))
     ),
-    "sv-shots": lambda: statevector.sample(statevector.init_zero(1), 0),
     "tn-bitstring-length": lambda: tensornet.circuit_to_network(Circuit(2), "0"),
     "tn-bitstring-not-binary": lambda: tensornet.circuit_to_network(Circuit(2), "0x"),
     "gen-family": lambda: family_from_name("nonesuch"),
@@ -51,4 +53,29 @@ def test_circuit_checks_the_ops_it_is_given(ops, error):
     with pytest.raises(error):
         Circuit(2, ops=ops)
     valid = ops[:-1]
-    assert Circuit(2, ops=valid).ops == valid
+    assert Circuit(2, ops=valid).ops == tuple(valid)
+
+
+def test_circuit_ops_are_read_only():
+    c = Circuit(2).h(0).cnot(0, 1).measure(0).measure(1)
+    checked = c.ops
+    outside = GateOp(GateKind.H, (5,))
+    with pytest.raises(AttributeError):
+        c.ops = [outside]
+    with pytest.raises(AttributeError):
+        c.unitary_ops = [outside]
+    with pytest.raises(AttributeError):
+        c.num_qubits = 1
+    for view in (c.ops, c.unitary_ops):
+        with pytest.raises(AttributeError):
+            view.append(outside)
+        with pytest.raises(TypeError):
+            view[0] = outside
+    assert (c.num_qubits, c.ops, c.unitary_ops) == (2, checked, checked[:2])
+    # So every reader sees only the ops that add checked.
+    report = compute_all(c)
+    assert (report.n_gates, report.depth) == (2, 2)
+    bell = [0.5, 0.0, 0.0, 0.5]
+    np.testing.assert_allclose(np.abs(statevector.run(c).amps) ** 2, bell, atol=1e-12)
+    np.testing.assert_allclose(tensornet.reconstruct_distribution(c).probs, bell, atol=1e-12)
+    assert parse_qasm(emit_qasm(c)).ops == checked

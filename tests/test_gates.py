@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcsim.errors import GateParameterError, NoMatrixError
-from qcsim.gates import GateKind, is_unitary, matrix_of
+from qcsim.gates import GateKind, matrix_of
+
+from conftest import is_unitary
 
 S2 = 1.0 / math.sqrt(2.0)
 

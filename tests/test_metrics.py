@@ -131,7 +131,7 @@ def test_compute_all_flags_partial_absence():
 
 
 def test_measures_are_excluded():
-    c = Circuit(2).h(0).cnot(0, 1).measure_all()
+    c = Circuit(2).h(0).cnot(0, 1).measure(0).measure(1)
     r = compute_all(c)
     assert r.n_gates == 2
     assert r.depth == 2
@@ -156,9 +156,7 @@ def _shuffle_commuting(c: Circuit, rng: np.random.Generator) -> Circuit:
         a, b = ops[i], ops[i + 1]
         if set(a.qubits).isdisjoint(b.qubits):
             ops[i], ops[i + 1] = b, a
-    out = Circuit(c.num_qubits)
-    out.ops = ops
-    return out
+    return Circuit(c.num_qubits, ops=ops)
 
 
 def _relabel(c: Circuit, perm: list[int]) -> Circuit:

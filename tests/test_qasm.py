@@ -33,7 +33,7 @@ def test_parse_bell():
 def test_empty_body():
     c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\n")
     assert c.num_qubits == 3
-    assert c.ops == []
+    assert c.ops == ()
 
 
 def test_angle_expressions():
@@ -112,7 +112,8 @@ def _random_circuit(rng: np.random.Generator, n: int, length: int) -> Circuit:
         angle = float(rng.uniform(0, 2 * math.pi)) if kind.is_parameterized else None
         c.add(kind, *qs, angle=angle)
     if rng.random() < 0.5:
-        c.measure_all()
+        for q in range(n):
+            c.measure(q)
     return c
 
 
@@ -122,14 +123,14 @@ def test_round_trip_on_random_circuits():
         n = int(rng.integers(2, 7))
         c = _random_circuit(rng, n, int(rng.integers(0, 30)))
         back = parse_qasm(emit_qasm(c))
-        assert back.structurally_equal(c)
+        assert (back.num_qubits, back.ops) == (c.num_qubits, c.ops)
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_round_trip_on_generator_outputs(family):
     c = generate(GeneratorSpec(family, 6, seed=3))
     back = parse_qasm(emit_qasm(c))
-    assert back.structurally_equal(c)
+    assert (back.num_qubits, back.ops) == (c.num_qubits, c.ops)
 
 
 # -- malformed sources fail typed, with the line their statement starts on --

@@ -21,7 +21,7 @@ from qcsim.tensornet import (
     slice_assignments,
 )
 
-from conftest import draw_gates
+from conftest import draw_gates, most_likely
 
 CFG = PathfinderConfig(num_samples=4, seed=13)
 
@@ -52,7 +52,7 @@ def test_result_invariant_across_worker_and_slice_counts():
 
 def test_deterministic_reduce_is_bit_identical():
     c = generate(GeneratorSpec(Family.QAOA, 8))
-    bits = distribution(run(c)).most_likely()
+    bits = most_likely(distribution(run(c)))
     pool = WorkerPoolConfig(workers=2)
     results = {run_sliced(c, bits, CFG, pool, slices=8).result for _ in range(5)}
     assert len(results) == 1
