@@ -157,6 +157,8 @@ def generate(spec: GeneratorSpec) -> Circuit:
     for name in ("p_layers", "l_layers", "t_steps"):
         if knobs[name] < 1:
             raise ConfigError(f"{name} must be >= 1, got {knobs[name]}")
+    if knobs["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {knobs['seed']}")
 
     builder = {
         Family.QAOA: _build_qaoa,

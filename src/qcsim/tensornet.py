@@ -32,7 +32,9 @@ both operands plus that output.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
 keeps the plan with the lowest estimated FLOP count; estimated peak size is
-reported but not optimized.  The descents may run as an executor's tasks
+reported but not optimized.  A descent keeps its candidate pairs across
+steps, updating them on each merge, and draws one vector of Gumbel
+variates per step.  The descents may run as an executor's tasks
 (a worker pool); each is seeded by its sample index alone, so the plan is
 the same wherever they run.  Slicing fixes chosen index values, splitting
 one contraction into independent sub-contractions whose results sum to the
@@ -247,6 +249,8 @@ class PathfinderConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ConfigError("num_samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _index_sets(net: TensorNetwork, drop: frozenset[str] = frozenset()) -> list[frozenset[str]]:
@@ -294,40 +298,56 @@ def _cost(steps, sets: list[frozenset[str]]) -> tuple[int, int, int]:
 def _greedy_descent(
     sets: list[frozenset[str]], rng: np.random.Generator | None
 ) -> tuple[tuple[int, int], ...]:
-    """One randomized-greedy bottom-up contraction order.
+    """One randomized-greedy bottom-up contraction order over ``sets``, in
+    which each label is held by at most two tensors.
 
     Candidates are pairs sharing an index; the key is log2 of the step cost
     plus a Gumbel draw from ``rng`` (``None`` = pure greedy, deterministic
     smallest-ids tie-break).  Outer products are taken only when no pair
     shares an index, on the two smallest tensors.
+
+    The candidates are kept across steps: ``owners`` maps each live label
+    to the tensors that hold it and ``width`` each candidate ``(i, j)``,
+    ``i < j``, to ``len(S_i | S_j)``; a merge drops the pairs of its two
+    operands and adds the new tensor's.  Each step draws one vector of
+    Gumbel variates over the candidates in sorted order, the same numbers
+    as one draw per candidate, so the steps depend only on ``sets`` and
+    ``rng``.
     """
     active: dict[int, frozenset[str]] = dict(enumerate(sets))
-    next_id = len(sets)
+    owners: dict[str, list[int]] = {}
+    for i, s in active.items():
+        for label in s:
+            owners.setdefault(label, []).append(i)
+    width = {(ids[0], ids[1]): len(sets[ids[0]] | sets[ids[1]])
+             for ids in owners.values() if len(ids) == 2}
     steps: list[tuple[int, int]] = []
 
-    while len(active) > 1:
-        label_map: dict[str, list[int]] = {}
-        for i, s in active.items():
-            for label in s:
-                label_map.setdefault(label, []).append(i)
-        candidates = {
-            (min(ids), max(ids)) for ids in label_map.values() if len(ids) == 2
-        }
-        if not candidates:
+    for k in range(len(sets), 2 * len(sets) - 1):
+        if not width:
             first, second = sorted(active, key=lambda i: (len(active[i]), i))[:2]
             pair = (min(first, second), max(first, second))
         else:
-            best_key, pair = None, None
-            for i, j in sorted(candidates):
-                key = float(len(active[i] | active[j]))
-                if rng is not None:
-                    key += rng.gumbel()
-                if best_key is None or key < best_key:
-                    best_key, pair = key, (i, j)
+            cands = sorted(width)
+            keys = np.fromiter(map(width.__getitem__, cands), float, len(cands))
+            if rng is not None:
+                keys += rng.gumbel(size=len(cands))
+            pair = cands[int(np.argmin(keys))]
         i, j = pair
-        active[next_id] = active.pop(i) ^ active.pop(j)
+        a, b = active.pop(i), active.pop(j)
+        active[k] = out = a ^ b
+        width.pop(pair, None)
+        for label in a | b:
+            rest = [x for x in owners.pop(label) if x != i and x != j]
+            for x in rest:
+                width.pop((min(x, i), max(x, i)), None)
+                width.pop((min(x, j), max(x, j)), None)
+            if label in out:
+                owners[label] = rest + [k]
+        for label in out:
+            for x in owners[label][:-1]:
+                width[(x, k)] = len(active[x] | out)
         steps.append(pair)
-        next_id += 1
 
     return tuple(steps)
 

@@ -5,7 +5,9 @@ extraction and scatter), a different algorithm from the SV backend's
 strided block updates and the TN backend's contractions, so they can check
 each other.  ``reference_metrics`` computes each topology metric in its own
 walk over the circuit, the slow form that ``metrics.compute_all``'s single
-walk must match.  The small readers of circuits, matrices and output
+walk must match.  ``reference_descent`` is the greedy descent that
+rebuilds its candidates at every step, which ``tensornet._greedy_descent``
+must match step for step.  The small readers of circuits, matrices and output
 distributions below (gate counts, unitarity, outcome maps, marginals) are
 what the tests need and the library does not.
 """
@@ -184,6 +186,50 @@ def reference_choose_slices(net, plan, target_slices):
         est_flops=flops * (1 << len(chosen)),
         est_peak_elements=peak,
     )
+
+
+def reference_descent(
+    sets: list[frozenset[str]], rng: np.random.Generator | None
+) -> tuple[tuple[int, int], ...]:
+    """One randomized-greedy bottom-up contraction order, rebuilding its
+    label map and candidate set at every step with one scalar Gumbel draw
+    per candidate: the quadratic form that ``tensornet._greedy_descent``'s
+    kept candidates must match step for step.
+
+    Candidates are pairs sharing an index; the key is log2 of the step cost
+    plus a Gumbel draw from ``rng`` (``None`` = pure greedy, deterministic
+    smallest-ids tie-break).  Outer products are taken only when no pair
+    shares an index, on the two smallest tensors.
+    """
+    active: dict[int, frozenset[str]] = dict(enumerate(sets))
+    next_id = len(sets)
+    steps: list[tuple[int, int]] = []
+
+    while len(active) > 1:
+        label_map: dict[str, list[int]] = {}
+        for i, s in active.items():
+            for label in s:
+                label_map.setdefault(label, []).append(i)
+        candidates = {
+            (min(ids), max(ids)) for ids in label_map.values() if len(ids) == 2
+        }
+        if not candidates:
+            first, second = sorted(active, key=lambda i: (len(active[i]), i))[:2]
+            pair = (min(first, second), max(first, second))
+        else:
+            best_key, pair = None, None
+            for i, j in sorted(candidates):
+                key = float(len(active[i] | active[j]))
+                if rng is not None:
+                    key += rng.gumbel()
+                if best_key is None or key < best_key:
+                    best_key, pair = key, (i, j)
+        i, j = pair
+        active[next_id] = active.pop(i) ^ active.pop(j)
+        steps.append(pair)
+        next_id += 1
+
+    return tuple(steps)
 
 
 def _multi_ops(c: Circuit):

@@ -3,6 +3,7 @@ import pytest
 
 from qcsim import distribution, run
 from qcsim.circuit import Circuit
+from qcsim.errors import ConfigError
 from qcsim.generators import Family, GeneratorSpec, family_from_name, generate
 
 from conftest import gate_counts, marginal, most_likely, outcomes
@@ -98,6 +99,11 @@ def test_distinct_seeds_differ():
 def test_size_error():
     with pytest.raises(ValueError):
         generate(GeneratorSpec(Family.QFT, 1))
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        generate(GeneratorSpec(Family.RANDOM, 4, seed=-1))
 
 
 def test_irrelevant_parameters_warn_in_params():

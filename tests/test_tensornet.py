@@ -36,6 +36,7 @@ from conftest import (
     most_likely,
     outcomes,
     reference_choose_slices,
+    reference_descent,
 )
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -199,6 +200,54 @@ def test_find_path_deterministic():
     cfg = PathfinderConfig(num_samples=6, seed=11)
     p1, p2 = find_path(net, cfg), find_path(net, cfg)
     assert p1.steps == p2.steps and p1.est_flops == p2.est_flops
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        PathfinderConfig(seed=-1)
+
+
+def _assert_descent_matches_reference(sets, seed, sample):
+    """The kept-candidate descent takes the reference's steps and draws the
+    same numbers from an equally seeded generator."""
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, sample))) if sample else None
+            for _ in range(2)]
+    assert tensornet._greedy_descent(sets, rngs[0]) == reference_descent(sets, rngs[1])
+    if sample:
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_greedy_descent_matches_reference(family):
+    for n in (4, 8, 12):
+        c = generate(GeneratorSpec(family, n))
+        for bits in (None, "0" * n):
+            sets = tensornet._index_sets(build_network(c, bits))
+            for sample in range(4):
+                _assert_descent_matches_reference(sets, 0, sample)
+
+
+@st.composite
+def _disconnected_circuits(draw):
+    """An open or closed circuit with an idle qubit and its other qubits in
+    two groups that no gate joins, so its network has at least two parts
+    and the descent ends in outer products."""
+    n = draw(st.integers(2, 8))
+    idle, *rest = draw(st.permutations(range(n)))
+    cut = draw(st.integers(0, len(rest)))
+    c = Circuit(n)
+    for group in (rest[:cut], rest[cut:]):
+        if group:
+            draw_gates(draw, c, group, 10)
+    bits = draw(st.none() | st.text("01", min_size=n, max_size=n))
+    return c, bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(_disconnected_circuits(), st.integers(0, 2**32), st.integers(0, 3))
+def test_greedy_descent_matches_reference_on_disconnected_circuits(case, seed, sample):
+    c, bits = case
+    _assert_descent_matches_reference(tensornet._index_sets(build_network(c, bits)), seed, sample)
 
 
 def test_est_flops_matches_replay():
