@@ -33,17 +33,9 @@ EXIT_PARSE = 4
 def _spec_from_args(args) -> GeneratorSpec:
     if args.n is None:
         raise ConfigError("--n is required when generating a circuit")
-    return GeneratorSpec(
-        family=family_from_name(args.family),
-        n=args.n,
-        p_layers=getattr(args, "p_layers", None),
-        k=getattr(args, "k", None),
-        m=getattr(args, "m", None),
-        l_layers=getattr(args, "l_layers", None),
-        t_steps=getattr(args, "t_steps", None),
-        seed=getattr(args, "seed", None),
-        dual_oracle=True if getattr(args, "dual_oracle", False) else None,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(GeneratorSpec)[2:]
+             if getattr(args, f.name) is not None}
+    return GeneratorSpec(family_from_name(args.family), args.n, **given)
 
 
 def _load_circuit(args) -> Circuit:
@@ -86,7 +78,7 @@ def _add_generator_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, help="explicit one-bit count")
     p.add_argument("--l-layers", dest="l_layers", type=int)
     p.add_argument("--t-steps", dest="t_steps", type=int)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dual-oracle", dest="dual_oracle", action="store_true",
                    help="hidden shift: include the second (dual) oracle query")
 
@@ -191,7 +183,7 @@ def _distribution_payload(dist) -> dict:
 
 
 def _simulate_one(circuit, backend, args):
-    cfg = PathfinderConfig(num_samples=args.samples, seed=args.seed or 0)
+    cfg = PathfinderConfig(num_samples=args.samples, seed=args.seed)
     result, rows = harness.bench_simulate(
         circuit, backend, args.precision, cfg, args.warmup, args.reps)
     if hasattr(result, "probs"):
@@ -237,12 +229,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_pathstudy(args) -> int:
     result = harness.pathfinding_study(
         _spec_from_args(args), _int_list(args.samples), repetitions=args.reps,
-        seed=args.seed or 0)
+        seed=args.seed)
     return _emit_rows(args, result["rows"], result)
 
 
 def _cmd_scaling(args) -> int:
-    cfg = PathfinderConfig(num_samples=args.samples, seed=args.seed or 0)
+    cfg = PathfinderConfig(num_samples=args.samples, seed=args.seed)
     rows = harness.strong_scaling_experiment(
         _spec_from_args(args), _int_list(args.workers), cfg,
         repetitions=args.reps, slices=args.slices)

@@ -4,6 +4,12 @@ Eight families, each scalable in the qubit count ``n`` and deterministic for
 a given :class:`GeneratorSpec` (seeded families draw every random choice from
 ``seed``; seedless families use a fixed golden-ratio angle schedule).
 
+A spec is checked when it is made and holds the values its circuit is built
+with.  The knobs default to P=1, k=0.5, M=floor(k n), L=1, T=1, seed=0 and
+no dual oracle; ``n >= 2``, ``0 <= k <= 1``, ``P, L, T >= 1`` and
+``seed, M >= 0`` are required, else ``ConfigError``.  A knob spelled out
+at its default gives a spec equal to one that leaves it out.
+
 Gate-count identities (measurements excluded), with ``P/L/T`` the layer
 knobs, ``M`` the one-bit count and ``C2 = floor(n/2)``:
 
@@ -104,39 +110,41 @@ _RELEVANT = {
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Family plus knobs; unset knobs fall back to the standard defaults
-    P=1, k=0.5, M=floor(k n), L=1, T=1, seed=0."""
+    """Family, size and knobs of one benchmark circuit, checked when made.
+
+    The knobs hold the values the circuit is built with: ``p_layers=1``
+    (QAOA layers P), ``k=0.5`` (one-bit fraction / pairing probability),
+    ``m=None`` (one-bit count M; None means ``floor(k n)``), ``l_layers=1``
+    (VQE layers L), ``t_steps=1`` (Trotter steps T), ``seed=0`` and
+    ``dual_oracle=False``.  A spec with ``n < 2``, ``k`` outside [0, 1], a
+    layer or step count below 1, or a negative ``seed`` or ``m`` raises
+    ``ConfigError``.
+    """
 
     family: Family
     n: int
-    p_layers: int | None = None
-    k: float | None = None
+    p_layers: int = 1
+    k: float = 0.5
     m: int | None = None
-    l_layers: int | None = None
-    t_steps: int | None = None
-    seed: int | None = None
-    dual_oracle: bool | None = None
+    l_layers: int = 1
+    t_steps: int = 1
+    seed: int = 0
+    dual_oracle: bool = False
 
-    def resolved(self) -> dict:
-        p = self.p_layers if self.p_layers is not None else 1
-        k = self.k if self.k is not None else 0.5
-        m = self.m if self.m is not None else int(k * self.n)
-        l = self.l_layers if self.l_layers is not None else 1
-        t = self.t_steps if self.t_steps is not None else 1
-        seed = self.seed if self.seed is not None else 0
-        dual = self.dual_oracle if self.dual_oracle is not None else False
-        return {"p_layers": p, "k": k, "m": m, "l_layers": l, "t_steps": t,
-                "seed": seed, "dual_oracle": dual}
+    def __post_init__(self):
+        if self.n < 2:
+            raise ConfigError(f"benchmark circuits need n >= 2, got {self.n}")
+        if not 0.0 <= self.k <= 1.0:
+            raise ConfigError(f"k must lie in [0, 1], got {self.k}")
+        for name, low in (("p_layers", 1), ("l_layers", 1), ("t_steps", 1), ("seed", 0), ("m", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
 
-    def ignored_knobs(self) -> list[str]:
-        relevant = _RELEVANT[self.family]
-        ignored = []
-        for f in fields(self):
-            if f.name in ("family", "n"):
-                continue
-            if getattr(self, f.name) is not None and f.name not in relevant:
-                ignored.append(f.name)
-        return ignored
+    @property
+    def ones(self) -> int:
+        """The one-bit count M: ``m``, or ``floor(k n)`` when ``m`` is None."""
+        return int(self.k * self.n) if self.m is None else self.m
 
 
 def _angle(index: int) -> float:
@@ -147,19 +155,10 @@ def _angle(index: int) -> float:
 def generate(spec: GeneratorSpec) -> Circuit:
     """Build the circuit described by ``spec``.
 
-    Identical specs always produce structurally identical circuits.
+    Identical specs always produce structurally identical circuits.  Each
+    knob set away from its default that the family does not read is named
+    in ``params["warning"]``.
     """
-    if spec.n < 2:
-        raise ConfigError(f"benchmark circuits need n >= 2, got {spec.n}")
-    knobs = spec.resolved()
-    if not 0.0 <= knobs["k"] <= 1.0:
-        raise ConfigError(f"k must lie in [0, 1], got {knobs['k']}")
-    for name in ("p_layers", "l_layers", "t_steps"):
-        if knobs[name] < 1:
-            raise ConfigError(f"{name} must be >= 1, got {knobs[name]}")
-    if knobs["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {knobs['seed']}")
-
     builder = {
         Family.QAOA: _build_qaoa,
         Family.RANDOM: _build_random,
@@ -170,11 +169,12 @@ def generate(spec: GeneratorSpec) -> Circuit:
         Family.HIDDEN_SHIFT: _build_hidden_shift,
         Family.BERNSTEIN_VAZIRANI: _build_bernstein_vazirani,
     }[spec.family]
-    circuit = builder(spec.n, knobs)
+    circuit = builder(spec)
     circuit.name = f"{spec.family.value}-{spec.n}"
     circuit.params.setdefault("family", spec.family.value)
     circuit.params.setdefault("n", spec.n)
-    ignored = spec.ignored_knobs()
+    ignored = [f.name for f in fields(spec)[2:]
+               if f.name not in _RELEVANT[spec.family] and getattr(spec, f.name) != f.default]
     if ignored:
         circuit.params["warning"] = f"ignored parameters: {', '.join(sorted(ignored))}"
     return circuit
@@ -183,8 +183,8 @@ def generate(spec: GeneratorSpec) -> Circuit:
 # -- families ----------------------------------------------------------
 
 
-def _build_qaoa(n: int, knobs: dict) -> Circuit:
-    p = knobs["p_layers"]
+def _build_qaoa(spec: GeneratorSpec) -> Circuit:
+    n, p = spec.n, spec.p_layers
     c = Circuit(n, params={"p_layers": p})
     for q in range(n):
         c.h(q)
@@ -213,9 +213,9 @@ def _build_qft_ops(c: Circuit, qubits: list[int]) -> None:
         c.swap(qubits[i], qubits[m - 1 - i])
 
 
-def _build_qft(n: int, knobs: dict) -> Circuit:
-    c = Circuit(n)
-    _build_qft_ops(c, list(range(n)))
+def _build_qft(spec: GeneratorSpec) -> Circuit:
+    c = Circuit(spec.n)
+    _build_qft_ops(c, list(range(spec.n)))
     return c
 
 
@@ -229,13 +229,13 @@ def _build_inverse_qft_ops(c: Circuit, qubits: list[int]) -> None:
         c.h(qubits[i])
 
 
-def _build_qpe(n: int, knobs: dict) -> Circuit:
+def _build_qpe(spec: GeneratorSpec) -> Circuit:
     # n-1 counting qubits estimate the eigenphase of a single-qubit phase
     # rotation acting on the top qubit, prepared in its |1> eigenstate.
     phase = 1.0 / 3.0
-    counting = list(range(n - 1))
-    eigen = n - 1
-    c = Circuit(n, params={"phase": phase})
+    counting = list(range(spec.n - 1))
+    eigen = spec.n - 1
+    c = Circuit(spec.n, params={"phase": phase})
     for q in counting:
         c.h(q)
     c.x(eigen)
@@ -246,8 +246,8 @@ def _build_qpe(n: int, knobs: dict) -> Circuit:
     return c
 
 
-def _build_vqe(n: int, knobs: dict) -> Circuit:
-    layers = knobs["l_layers"]
+def _build_vqe(spec: GeneratorSpec) -> Circuit:
+    n, layers = spec.n, spec.l_layers
     c = Circuit(n, params={"l_layers": layers})
     idx = 0
     for q in range(n):
@@ -271,8 +271,8 @@ def _build_vqe(n: int, knobs: dict) -> Circuit:
     return c
 
 
-def _build_hamiltonian(n: int, knobs: dict) -> Circuit:
-    steps = knobs["t_steps"]
+def _build_hamiltonian(spec: GeneratorSpec) -> Circuit:
+    n, steps = spec.n, spec.t_steps
     c = Circuit(n, params={"t_steps": steps})
     field_angle = 2.0 * _HSIM_FIELD * _HSIM_DT
     coupling_angle = 2.0 * _HSIM_COUPLING * _HSIM_DT
@@ -289,20 +289,18 @@ def _build_hamiltonian(n: int, knobs: dict) -> Circuit:
 
 
 def _pick_positions(rng: np.random.Generator, pool: int, count: int) -> list[int]:
-    count = min(count, pool)
-    return sorted(rng.choice(pool, size=count, replace=False).tolist()) if count else []
+    return sorted(rng.choice(pool, size=count, replace=False).tolist())
 
 
-def _build_bernstein_vazirani(n: int, knobs: dict) -> Circuit:
+def _build_bernstein_vazirani(spec: GeneratorSpec) -> Circuit:
     # Data register is qubits 0..n-2; qubit n-1 is the kickback ancilla.
-    rng = np.random.default_rng(knobs["seed"])
+    n = spec.n
+    rng = np.random.default_rng(spec.seed)
     data = n - 1
-    m = knobs["m"]
-    if m > data:
-        m = data
+    m = min(spec.ones, data)
     ones = _pick_positions(rng, data, m)
     hidden = "".join("1" if q in set(ones) else "0" for q in range(data))
-    c = Circuit(n, params={"m": m, "seed": knobs["seed"], "hidden_string": hidden})
+    c = Circuit(n, params={"m": m, "seed": spec.seed, "hidden_string": hidden})
     anc = n - 1
     for q in range(data):
         c.h(q)
@@ -315,16 +313,13 @@ def _build_bernstein_vazirani(n: int, knobs: dict) -> Circuit:
     return c
 
 
-def _build_hidden_shift(n: int, knobs: dict) -> Circuit:
-    rng = np.random.default_rng(knobs["seed"])
-    m = min(knobs["m"], n)
+def _build_hidden_shift(spec: GeneratorSpec) -> Circuit:
+    n, dual = spec.n, spec.dual_oracle
+    rng = np.random.default_rng(spec.seed)
+    m = min(spec.ones, n)
     shifted = _pick_positions(rng, n, m)
     shift = "".join("1" if q in set(shifted) else "0" for q in range(n))
-    dual = knobs["dual_oracle"]
-    c = Circuit(
-        n,
-        params={"m": m, "seed": knobs["seed"], "shift": shift, "dual_oracle": dual},
-    )
+    c = Circuit(n, params={"m": m, "seed": spec.seed, "shift": shift, "dual_oracle": dual})
 
     def h_layer():
         for q in range(n):
@@ -369,10 +364,10 @@ def _round_robin_rounds(n: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
-def _build_random(n: int, knobs: dict) -> Circuit:
-    k = knobs["k"]
-    rng = np.random.default_rng(knobs["seed"])
-    c = Circuit(n, params={"k": k, "seed": knobs["seed"]})
+def _build_random(spec: GeneratorSpec) -> Circuit:
+    n, k = spec.n, spec.k
+    rng = np.random.default_rng(spec.seed)
+    c = Circuit(n, params={"k": k, "seed": spec.seed})
 
     weights = np.array([1.0 + _RANDOM_RAMP_SPAN * i / (n - 1) for i in range(n)])
     mean_weight = float(weights.mean())

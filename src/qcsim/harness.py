@@ -90,12 +90,14 @@ def bench_simulate(
     network's time splits into one shared pathfinding phase plus per-rep
     contraction; the state vector has no pathfinding component.  The tensor
     network always computes in double precision, whatever ``precision``
-    asks, and its rows say so.  ``mem_bytes_est`` is the state vector's
+    asks, and its rows say so; a ``precision`` other than 'single' and
+    'double' raises ``ConfigError`` on either backend.  ``mem_bytes_est`` is the state vector's
     bytes, or the bytes of the plan's largest contraction step
     (``tensornet.step_footprint``).  Each row's ``seed`` is ``cfg.seed``.
     """
     cfg = cfg or PathfinderConfig()
     n = c.num_qubits
+    sv_backend.precision_dtype(precision)  # refuse an unknown precision on both backends
 
     if backend == "sv":
         times, state = timed(lambda: sv_backend.run(c, precision), warmup, reps)

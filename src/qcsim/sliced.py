@@ -110,11 +110,14 @@ def run_sliced(
     independent pieces spread over the worker pool; returns the amplitude
     and what the run measured.  A plan whose largest step (per slice) is
     over the memory budget raises ``CapacityError`` before any slice is
-    dispatched.
+    dispatched, and a ``bitstring`` of None ``ConfigError`` before any pool
+    starts.
 
     Pass a ``make_worker_pool`` executor to amortize pool startup over
     repeated runs; otherwise a pool is created and torn down per call.
     """
+    if bitstring is None:
+        raise ConfigError("run_sliced contracts one amplitude and needs its bitstring")
     cfg = cfg or PathfinderConfig()
     pool = pool or WorkerPoolConfig()
     check_slices(slices, pool.workers)

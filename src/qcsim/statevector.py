@@ -210,7 +210,10 @@ def precision_dtype(precision: str) -> np.dtype:
 
 
 def sv_memory_bytes(n: int, precision: str = "single") -> int:
-    """Bytes needed for the amplitudes of an ``n``-qubit state vector."""
+    """Bytes needed for the amplitudes of an ``n``-qubit state vector;
+    fewer than one qubit raises ``ConfigError``, as in ``init_zero``."""
+    if n < 1:
+        raise ConfigError(f"need at least one qubit, got {n}")
     return (1 << n) * precision_dtype(precision).itemsize
 
 

@@ -7,7 +7,9 @@ each qubit is an open index unless a target bitstring closes it with the
 conjugate basis vector, in which case full contraction yields that
 bitstring's probability amplitude.  A circuit's trailing measure markers
 become no tensor; a measure mid-circuit cannot occur, since ``Circuit.add``
-refuses a gate after a measure.
+refuses a gate after a measure.  A ``TensorNetwork`` is checked when it is
+made, whoever builds it: each open label lies on one tensor and every other
+label on two.  It cannot be changed afterwards.
 
 Every entry point runs the same pipeline: ``build_network`` (conversion
 plus absorption of the rank-1 tensors), ``find_path``, then ``contract``.
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,25 +89,24 @@ class Tensor:
         return Tensor(tuple(indices), data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorNetwork:
-    tensors: list[Tensor]
+    """Tensors and the open labels, checked when made: an open label is on
+    exactly one tensor and every other label on exactly two, else
+    ``StructuralError``.  ``tensors`` is kept as a tuple."""
+
+    tensors: tuple[Tensor, ...]
     open_indices: tuple[str, ...] = ()
 
-    def validate(self) -> None:
-        seen: dict[str, int] = {}
-        for t in self.tensors:
-            for label in t.indices:
-                seen[label] = seen.get(label, 0) + 1
-        for label, count in seen.items():
+    def __post_init__(self):
+        object.__setattr__(self, "tensors", tuple(self.tensors))
+        seen = Counter(itertools.chain.from_iterable(t.indices for t in self.tensors))
+        for label in (*seen, *self.open_indices):
             expected = 1 if label in self.open_indices else 2
-            if count != expected:
+            if seen[label] != expected:
                 raise StructuralError(
-                    f"label {label} appears {count} times, expected {expected}"
+                    f"label {label} appears {seen[label]} times, expected {expected}"
                 )
-        for label in self.open_indices:
-            if label not in seen:
-                raise StructuralError(f"open index {label} missing from network")
 
     def all_labels(self) -> set[str]:
         labels: set[str] = set()
@@ -139,28 +141,18 @@ def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwor
         return wire[q]
 
     for op in c.unitary_ops:
-        matrix = op.matrix()
-        if len(op.qubits) == 1:
-            q = op.qubits[0]
-            t_in = wire[q]
-            t_out = advance(q)
-            tensors.append(Tensor((t_in, t_out), matrix.T.copy()))
-        else:
-            qa, qb = op.qubits
-            in_a, in_b = wire[qa], wire[qb]
-            out_a, out_b = advance(qa), advance(qb)
-            data = matrix.reshape(2, 2, 2, 2).transpose(2, 3, 0, 1).copy()
-            tensors.append(Tensor((in_a, in_b, out_a, out_b), data))
+        # The matrix is indexed [out, in], so its transpose, split into one
+        # axis per qubit, has the input axes first.
+        ins = tuple(map(wire.__getitem__, op.qubits))
+        outs = tuple(map(advance, op.qubits))
+        data = op.matrix().T.copy().reshape((2,) * 2 * len(op.qubits))
+        tensors.append(Tensor(ins + outs, data))
 
     if bitstring is None:
-        net = TensorNetwork(tensors, tuple(wire))
-    else:
-        for q in range(n):
-            bit = int(bitstring[q])
-            tensors.append(Tensor((wire[q],), _BASIS[bit].conj().copy()))
-        net = TensorNetwork(tensors, ())
-    net.validate()
-    return net
+        return TensorNetwork(tensors, tuple(wire))
+    for q, bit in enumerate(bitstring):
+        tensors.append(Tensor((wire[q],), _BASIS[int(bit)].conj().copy()))
+    return TensorNetwork(tensors)
 
 
 def absorb_small_tensors(
@@ -190,8 +182,6 @@ def absorb_small_tensors(
         if alive <= 2:
             break
         t = tensors[i]
-        if t is None:
-            continue
         partner = None
         for j, other in enumerate(tensors):
             if j == i or other is None:
@@ -204,10 +194,7 @@ def absorb_small_tensors(
         tensors[partner] = contract_pair(t, tensors[partner])
         tensors[i] = None
         alive -= 1
-    merged = [t for t in tensors if t is not None]
-    out = TensorNetwork(merged, net.open_indices)
-    out.validate()
-    return out
+    return TensorNetwork([t for t in tensors if t is not None], net.open_indices)
 
 
 # -- pairwise contraction ----------------------------------------------
@@ -254,6 +241,11 @@ class PathfinderConfig:
 
 
 def _index_sets(net: TensorNetwork, drop: frozenset[str] = frozenset()) -> list[frozenset[str]]:
+    """Each tensor's labels less ``drop``, the sliced labels, which must be
+    closed labels of ``net``, else ``StructuralError``."""
+    bad = drop - (net.all_labels() - set(net.open_indices)) if drop else ()
+    if bad:
+        raise StructuralError(f"sliced labels {sorted(bad)} are not closed labels of the network")
     return [frozenset(t.indices) - drop for t in net.tensors]
 
 

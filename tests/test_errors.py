@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from qcsim import statevector, tensornet
+from qcsim import harness, statevector, tensornet
 from qcsim.circuit import Circuit, GateOp
-from qcsim.errors import ConfigError, QcsimError, UnsupportedOpError
+from qcsim.errors import ConfigError, QcsimError, StructuralError, UnsupportedOpError
 from qcsim.gates import GateKind
 from qcsim.generators import Family, GeneratorSpec, family_from_name, generate
 from qcsim.metrics import compute_all
@@ -16,6 +16,7 @@ BAD_INPUTS = {
     "circuit-no-qubits": lambda: Circuit(0),
     "circuit-qubit-outside": lambda: Circuit(2).h(2),
     "sv-precision": lambda: statevector.precision_dtype("quad"),
+    "sv-memory-n": lambda: statevector.sv_memory_bytes(0),
     "sv-no-qubits": lambda: statevector.init_zero(0),
     "sv-qubit-outside": lambda: statevector.apply_gate(
         statevector.init_zero(2), GateOp(GateKind.H, (3,))
@@ -26,6 +27,10 @@ BAD_INPUTS = {
     "gen-n": lambda: generate(GeneratorSpec(Family.QFT, 1)),
     "gen-k": lambda: generate(GeneratorSpec(Family.BERNSTEIN_VAZIRANI, 4, k=1.5)),
     "gen-layers": lambda: generate(GeneratorSpec(Family.QAOA, 4, p_layers=0)),
+    "gen-m": lambda: GeneratorSpec(Family.BERNSTEIN_VAZIRANI, 4, m=-1),
+    "bench-tn-precision": lambda: harness.bench_simulate(
+        Circuit(2).h(0).cnot(0, 1), "tn", "quad", warmup=0, reps=1
+    ),
 }
 
 
@@ -79,3 +84,24 @@ def test_circuit_ops_are_read_only():
     np.testing.assert_allclose(np.abs(statevector.run(c).amps) ** 2, bell, atol=1e-12)
     np.testing.assert_allclose(tensornet.reconstruct_distribution(c).probs, bell, atol=1e-12)
     assert parse_qasm(emit_qasm(c)).ops == checked
+
+
+def test_spec_with_every_knob_at_its_default_equals_the_bare_spec():
+    spelled = GeneratorSpec(Family.QFT, 8, p_layers=1, k=0.5, m=None, l_layers=1,
+                            t_steps=1, seed=0, dual_oracle=False)
+    bare = GeneratorSpec(Family.QFT, 8)
+    assert spelled == bare and hash(spelled) == hash(bare)
+    # So a knob spelled at its default builds the same circuit, with no warning.
+    c = generate(spelled)
+    assert c.ops == generate(bare).ops and "warning" not in c.params
+
+
+def test_tensor_network_is_checked_when_made_and_read_only():
+    a, b, c = (tensornet.Tensor(("x",), np.array([1, 0], complex)) for _ in range(3))
+    with pytest.raises(StructuralError, match="appears 3 times"):
+        tensornet.TensorNetwork([a, b, c])
+    net = tensornet.TensorNetwork([a, b])
+    assert net.tensors == (a, b)
+    with pytest.raises(AttributeError):
+        net.tensors = [a, b, c]
+    assert net.tensors == (a, b)

@@ -71,8 +71,9 @@ def test_slices_must_be_power_of_two(bell):
 def test_non_binary_bitstring_raises_before_a_pool_starts(monkeypatch, bell):
     pools = []
     monkeypatch.setattr(sliced, "make_worker_pool", lambda workers: pools.append(workers))
-    with pytest.raises(ValueError, match="holds '2'"):
-        run_sliced(bell, "02", CFG, WorkerPoolConfig(workers=2), slices=2)
+    for bitstring, match in (("02", "holds '2'"), (None, "needs its bitstring")):
+        with pytest.raises(ConfigError, match=match):
+            run_sliced(bell, bitstring, CFG, WorkerPoolConfig(workers=2), slices=2)
     assert pools == []
 
 

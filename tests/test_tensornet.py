@@ -51,7 +51,6 @@ def test_bell_network_shape(bell):
     assert len(net.open_indices) == 2
     ranks = sorted(t.rank for t in net.tensors)
     assert ranks == [1, 1, 2, 4]
-    net.validate()
 
 
 def test_closed_network_has_no_open_indices(bell):
@@ -567,12 +566,23 @@ def test_choose_slices_matches_reference_on_random_circuits(case, seed, target, 
     assert choose_slices(net, sliced, again) == reference_choose_slices(net, sliced, again)
 
 
+def _open_label_sliced(net, plan):
+    # The bell network with its closures left off, so the two final wires
+    # are open, and a plan of it that slices one of them.
+    ends = tuple(t.indices[0] for t in net.tensors[-2:])
+    net = tensornet.TensorNetwork(net.tensors[:-2], ends)
+    return net, replace(find_path(net, PathfinderConfig(num_samples=1)), sliced_labels=ends[:1])
+
+
 @pytest.mark.parametrize("malformed", [
     lambda net, plan: (circuit_to_network(Circuit(3).h(0), None), plan),
     lambda net, plan: (net, replace(plan, steps=plan.steps[:-1])),
     lambda net, plan: (net, replace(plan, steps=((0, 0),) + plan.steps[1:])),
     lambda net, plan: (net, replace(plan, steps=plan.steps[:-1] + ((0, 1),))),
-], ids=["another-network", "partial", "repeated-id", "unavailable-id"])
+    lambda net, plan: (net, replace(plan, sliced_labels=("nope",))),
+    _open_label_sliced,
+], ids=["another-network", "partial", "repeated-id", "unavailable-id", "foreign-sliced-label",
+        "open-sliced-label"])
 def test_plan_network_mismatch_detected(bell, malformed, monkeypatch):
     net = circuit_to_network(bell, "00")
     plan = find_path(net, PathfinderConfig(num_samples=1))

@@ -1,6 +1,13 @@
 """Print one sha256 per default TN plan, so two commits' plans can be compared.
 
-For every circuit family, n in 8/12/16/20, open and closed (the all-zeros
+The first line is a ``circuits`` digest: the sha256 over the QASM text and
+``params`` of every family, n from 2 to 20, seeds 0, 1 and 7, under each of
+``KNOB_SETS`` (the defaults, then each knob away from its default).  The
+``params`` warning is left out, since it depends on which knobs a spec
+spells out rather than on the circuit.  A change to ``generators`` that
+moves any circuit changes this line.
+
+Then, for every circuit family, n in 8/12/16/20, open and closed (the all-zeros
 bitstring), the plan is ``find_path(build_network(c, bits),
 PathfinderConfig())``; its digest is the sha256 of the ``repr`` of its
 ``(steps, est_flops, est_peak_elements)``.  The last line is the sha256 of
@@ -10,7 +17,8 @@ Usage::
 
     PYTHONPATH=src python tools/plan_digest.py
 
-prints one ``family  n  open|closed  digest`` line per plan, then the total.
+prints the circuits digest, one ``family  n  open|closed  digest`` line per
+plan, then the total.
 It is a check to run by hand, not a test: the n = 20 plans take seconds each.
 """
 from __future__ import annotations
@@ -19,9 +27,25 @@ import hashlib
 import sys
 
 from qcsim.generators import Family, GeneratorSpec, generate
+from qcsim.qasm import emit_qasm
 from qcsim.tensornet import PathfinderConfig, build_network, find_path
 
 SIZES = (8, 12, 16, 20)
+KNOB_SETS = ({}, {"p_layers": 2}, {"k": 0.25}, {"m": 1}, {"l_layers": 2}, {"t_steps": 2},
+             {"dual_oracle": True})
+
+
+def circuits_digest() -> str:
+    digest = hashlib.sha256()
+    for family in Family:
+        for n in range(2, 21):
+            for seed in (0, 1, 7):
+                for knobs in KNOB_SETS:
+                    c = generate(GeneratorSpec(family, n, seed=seed, **knobs))
+                    params = {k: v for k, v in c.params.items() if k != "warning"}
+                    digest.update(emit_qasm(c).encode())
+                    digest.update(repr(sorted(params.items())).encode())
+    return digest.hexdigest()
 
 
 def plan_digest(family: Family, n: int, closed: bool) -> str:
@@ -32,6 +56,7 @@ def plan_digest(family: Family, n: int, closed: bool) -> str:
 
 
 def main() -> int:
+    print(f"circuits  {circuits_digest()}", flush=True)
     total = hashlib.sha256()
     for family in Family:
         for n in SIZES:
