@@ -48,7 +48,7 @@ class GateOp:
 
     @property
     def is_multi_qubit(self) -> bool:
-        return self.kind.is_multi_qubit
+        return self.kind.arity > 1
 
     def matrix(self) -> np.ndarray:
         return matrix_of(self.kind, self.angle)

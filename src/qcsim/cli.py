@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import harness, statevector
-from .advisor import Backend, advise_circuit
+from .advisor import Backend, advise_circuit, recommend
 from .circuit import Circuit, index_to_bitstring
 from .errors import CapacityError, ConfigError, QasmParseError, QcsimError
 from .generators import GeneratorSpec, family_from_name, generate
@@ -141,11 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _averaged_report(args) -> MetricsReport:
+def _report(args) -> MetricsReport:
+    """The metrics ``metrics`` and ``advise`` read: with ``--avg-seeds`` and
+    no ``--in``, each field's mean over that many seeds of the spec (None
+    when any seed's is None), else the one circuit's."""
+    if not args.avg_seeds or args.infile:
+        return compute_all(_load_circuit(args))
     spec = _spec_from_args(args)
-    reports = []
-    for seed in range(args.avg_seeds):
-        reports.append(compute_all(generate(replace(spec, seed=seed))))
+    reports = [compute_all(generate(replace(spec, seed=seed))) for seed in range(args.avg_seeds)]
 
     def mean_of(field):
         values = [getattr(r, field.name) for r in reports]
@@ -164,10 +167,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    if args.avg_seeds and not args.infile:
-        report = _averaged_report(args)
-    else:
-        report = compute_all(_load_circuit(args))
+    report = _report(args)
     payload = report.to_dict()
     payload["absent"] = report.absent()
     _write_out(harness.to_json(payload), args.out)
@@ -198,26 +198,24 @@ def _simulate_one(circuit, backend, args):
     return payload, rows
 
 
+# The backends ``simulate --backend auto`` runs for each recommendation.
+_AUTO_BACKENDS = {Backend.STATEVECTOR: ["sv"], Backend.TENSORNET: ["tn"],
+                  Backend.EITHER: ["sv", "tn"]}
+
+
 def _cmd_simulate(args) -> int:
+    """Run the backend asked for, or the advisor's; when it leaves the pick
+    to either backend, both run and the faster one's payload is printed."""
     circuit = _load_circuit(args)
-    backend = args.backend
-    if backend == "auto":
-        recommendation = advise_circuit(circuit)
-        if recommendation.backend is Backend.EITHER:
-            payload_sv, rows_sv = _simulate_one(circuit, "sv", args)
-            payload_tn, rows_tn = _simulate_one(circuit, "tn", args)
-            faster = "sv" if (payload_sv["timing"]["mean_s"]
-                              <= payload_tn["timing"]["mean_s"]) else "tn"
-            payload = payload_sv if faster == "sv" else payload_tn
-            rows = rows_sv + rows_tn
-            payload["auto"] = {"recommended": "either", "ran": ["sv", "tn"],
-                               "faster": faster}
-        else:
-            chosen = "sv" if recommendation.backend is Backend.STATEVECTOR else "tn"
-            payload, rows = _simulate_one(circuit, chosen, args)
-            payload["auto"] = {"recommended": chosen, "ran": [chosen]}
-    else:
-        payload, rows = _simulate_one(circuit, backend, args)
+    auto = args.backend == "auto"
+    ran = _AUTO_BACKENDS[advise_circuit(circuit).backend] if auto else [args.backend]
+    runs = [_simulate_one(circuit, backend, args) for backend in ran]
+    payload = min((p for p, _ in runs), key=lambda p: p["timing"]["mean_s"])  # sv on a tie
+    rows = [row for _, backend_rows in runs for row in backend_rows]
+    if auto:
+        payload["auto"] = {"recommended": ran[0] if len(ran) == 1 else "either", "ran": ran}
+        if len(ran) > 1:
+            payload["auto"]["faster"] = payload["backend"]
     if args.out:
         _write_out(harness.rows_to_csv(rows), args.out)
     if args.json:
@@ -248,12 +246,7 @@ def _cmd_memory(args) -> int:
 
 
 def _cmd_advise(args) -> int:
-    if args.avg_seeds and not args.infile:
-        from .advisor import recommend
-        report = _averaged_report(args)
-        recommendation = recommend(report, args.n)
-    else:
-        recommendation = advise_circuit(_load_circuit(args))
+    recommendation = recommend(_report(args), args.n)
     _write_out(harness.to_json(recommendation.to_dict()), args.out)
     return EXIT_OK
 

@@ -48,10 +48,6 @@ class GateKind(Enum):
     def is_parameterized(self) -> bool:
         return self in _PARAMETERIZED
 
-    @property
-    def is_multi_qubit(self) -> bool:
-        return self in _TWO_QUBIT
-
 
 _TWO_QUBIT = frozenset({GateKind.RZZ, GateKind.CP, GateKind.CNOT, GateKind.CZ, GateKind.SWAP})
 _PARAMETERIZED = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.RZZ, GateKind.CP})

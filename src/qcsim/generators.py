@@ -6,9 +6,12 @@ a given :class:`GeneratorSpec` (seeded families draw every random choice from
 
 A spec is checked when it is made and holds the values its circuit is built
 with.  The knobs default to P=1, k=0.5, M=floor(k n), L=1, T=1, seed=0 and
-no dual oracle; ``n >= 2``, ``0 <= k <= 1``, ``P, L, T >= 1`` and
-``seed, M >= 0`` are required, else ``ConfigError``.  A knob spelled out
-at its default gives a spec equal to one that leaves it out.
+no dual oracle; integer ``n >= 2``, ``P, L, T >= 1`` and ``seed, M >= 0``
+(``M`` unless None) and a real ``0 <= k <= 1`` are required, else
+``ConfigError``.  A knob
+spelled out at its default gives a spec equal to one that leaves it out.
+``_FAMILIES`` is the one table of the families: each one's builder and the
+knobs it reads.
 
 Gate-count identities (measurements excluded), with ``P/L/T`` the layer
 knobs, ``M`` the one-bit count and ``C2 = floor(n/2)``:
@@ -39,6 +42,8 @@ requires querying the (self-dual) function a second time; enable
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -71,18 +76,10 @@ class Family(Enum):
     BERNSTEIN_VAZIRANI = "bv"
 
 
-_ALIASES = {
-    "qaoa": Family.QAOA,
-    "random": Family.RANDOM,
-    "qpe": Family.QPE,
-    "qft": Family.QFT,
-    "vqe": Family.VQE,
-    "hamiltonian": Family.HAMILTONIAN,
+_ALIASES = {f.value: f for f in Family} | {
     "hamsim": Family.HAMILTONIAN,
-    "hiddenshift": Family.HIDDEN_SHIFT,
     "hidden-shift": Family.HIDDEN_SHIFT,
     "hs": Family.HIDDEN_SHIFT,
-    "bv": Family.BERNSTEIN_VAZIRANI,
     "bernsteinvazirani": Family.BERNSTEIN_VAZIRANI,
     "bernstein-vazirani": Family.BERNSTEIN_VAZIRANI,
 }
@@ -95,19 +92,6 @@ def family_from_name(name: str) -> Family:
     return _ALIASES[key]
 
 
-# Which optional knobs each family actually reads.
-_RELEVANT = {
-    Family.QAOA: {"p_layers"},
-    Family.RANDOM: {"k", "seed"},
-    Family.QPE: set(),
-    Family.QFT: set(),
-    Family.VQE: {"l_layers"},
-    Family.HAMILTONIAN: {"t_steps"},
-    Family.HIDDEN_SHIFT: {"k", "m", "seed", "dual_oracle"},
-    Family.BERNSTEIN_VAZIRANI: {"k", "m", "seed"},
-}
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Family, size and knobs of one benchmark circuit, checked when made.
@@ -117,8 +101,9 @@ class GeneratorSpec:
     ``m=None`` (one-bit count M; None means ``floor(k n)``), ``l_layers=1``
     (VQE layers L), ``t_steps=1`` (Trotter steps T), ``seed=0`` and
     ``dual_oracle=False``.  A spec with ``n < 2``, ``k`` outside [0, 1], a
-    layer or step count below 1, or a negative ``seed`` or ``m`` raises
-    ``ConfigError``.
+    layer or step count below 1, a negative ``seed`` or ``m``, a count that
+    is not an integer (``operator.index``) or a ``k`` that is not a real
+    number raises ``ConfigError``.
     """
 
     family: Family
@@ -132,14 +117,21 @@ class GeneratorSpec:
     dual_oracle: bool = False
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError(f"benchmark circuits need n >= 2, got {self.n}")
+        for name, low in (("n", 2), ("p_layers", 1), ("l_layers", 1), ("t_steps", 1),
+                          ("seed", 0), ("m", 0)):
+            value = getattr(self, name)
+            if name == "m" and value is None:
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        if not isinstance(self.k, numbers.Real):
+            raise ConfigError(f"k must be a real number, got {self.k!r}")
         if not 0.0 <= self.k <= 1.0:
             raise ConfigError(f"k must lie in [0, 1], got {self.k}")
-        for name, low in (("p_layers", 1), ("l_layers", 1), ("t_steps", 1), ("seed", 0), ("m", 0)):
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
 
     @property
     def ones(self) -> int:
@@ -159,22 +151,13 @@ def generate(spec: GeneratorSpec) -> Circuit:
     knob set away from its default that the family does not read is named
     in ``params["warning"]``.
     """
-    builder = {
-        Family.QAOA: _build_qaoa,
-        Family.RANDOM: _build_random,
-        Family.QPE: _build_qpe,
-        Family.QFT: _build_qft,
-        Family.VQE: _build_vqe,
-        Family.HAMILTONIAN: _build_hamiltonian,
-        Family.HIDDEN_SHIFT: _build_hidden_shift,
-        Family.BERNSTEIN_VAZIRANI: _build_bernstein_vazirani,
-    }[spec.family]
+    builder, reads = _FAMILIES[spec.family]
     circuit = builder(spec)
     circuit.name = f"{spec.family.value}-{spec.n}"
     circuit.params.setdefault("family", spec.family.value)
     circuit.params.setdefault("n", spec.n)
     ignored = [f.name for f in fields(spec)[2:]
-               if f.name not in _RELEVANT[spec.family] and getattr(spec, f.name) != f.default]
+               if f.name not in reads and getattr(spec, f.name) != f.default]
     if ignored:
         circuit.params["warning"] = f"ignored parameters: {', '.join(sorted(ignored))}"
     return circuit
@@ -288,19 +271,20 @@ def _build_hamiltonian(spec: GeneratorSpec) -> Circuit:
     return c
 
 
-def _pick_positions(rng: np.random.Generator, pool: int, count: int) -> list[int]:
-    return sorted(rng.choice(pool, size=count, replace=False).tolist())
+def _marked(spec: GeneratorSpec, pool: int) -> tuple[list[int], str]:
+    """The ``min(M, pool)`` positions below ``pool`` that ``spec.seed``
+    picks, sorted, and the ``pool``-character string that marks them."""
+    rng = np.random.default_rng(spec.seed)
+    ones = sorted(rng.choice(pool, size=min(spec.ones, pool), replace=False).tolist())
+    return ones, "".join("1" if q in ones else "0" for q in range(pool))
 
 
 def _build_bernstein_vazirani(spec: GeneratorSpec) -> Circuit:
     # Data register is qubits 0..n-2; qubit n-1 is the kickback ancilla.
     n = spec.n
-    rng = np.random.default_rng(spec.seed)
     data = n - 1
-    m = min(spec.ones, data)
-    ones = _pick_positions(rng, data, m)
-    hidden = "".join("1" if q in set(ones) else "0" for q in range(data))
-    c = Circuit(n, params={"m": m, "seed": spec.seed, "hidden_string": hidden})
+    ones, hidden = _marked(spec, data)
+    c = Circuit(n, params={"m": len(ones), "seed": spec.seed, "hidden_string": hidden})
     anc = n - 1
     for q in range(data):
         c.h(q)
@@ -315,11 +299,9 @@ def _build_bernstein_vazirani(spec: GeneratorSpec) -> Circuit:
 
 def _build_hidden_shift(spec: GeneratorSpec) -> Circuit:
     n, dual = spec.n, spec.dual_oracle
-    rng = np.random.default_rng(spec.seed)
-    m = min(spec.ones, n)
-    shifted = _pick_positions(rng, n, m)
-    shift = "".join("1" if q in set(shifted) else "0" for q in range(n))
-    c = Circuit(n, params={"m": m, "seed": spec.seed, "shift": shift, "dual_oracle": dual})
+    shifted, shift = _marked(spec, n)
+    c = Circuit(n, params={"m": len(shifted), "seed": spec.seed, "shift": shift,
+                           "dual_oracle": dual})
 
     def h_layer():
         for q in range(n):
@@ -405,3 +387,16 @@ def _build_random(spec: GeneratorSpec) -> Circuit:
             if q not in busy:
                 random_single(q)
     return c
+
+
+# The one table of the families: each one's builder and the knobs it reads.
+_FAMILIES = {
+    Family.QAOA: (_build_qaoa, {"p_layers"}),
+    Family.RANDOM: (_build_random, {"k", "seed"}),
+    Family.QPE: (_build_qpe, set()),
+    Family.QFT: (_build_qft, set()),
+    Family.VQE: (_build_vqe, {"l_layers"}),
+    Family.HAMILTONIAN: (_build_hamiltonian, {"t_steps"}),
+    Family.HIDDEN_SHIFT: (_build_hidden_shift, {"k", "m", "seed", "dual_oracle"}),
+    Family.BERNSTEIN_VAZIRANI: (_build_bernstein_vazirani, {"k", "m", "seed"}),
+}

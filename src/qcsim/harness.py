@@ -32,6 +32,7 @@ import time
 
 import numpy as np
 
+from .advisor import advise_circuit
 from .circuit import Circuit
 from .errors import ConfigError
 from .generators import GeneratorSpec, generate
@@ -169,8 +170,6 @@ def pathfinding_study(
     landscape flat to within 1% marks it pathfinding-bound; anything else
     is contraction-bound.  An empty ``samples_list`` raises ``ConfigError``.
     """
-    from .advisor import advise_circuit
-
     if not samples_list:
         raise ConfigError("samples_list must name at least one sample budget")
     c = generate(spec)
@@ -225,10 +224,10 @@ def strong_scaling_experiment(
     """``repetitions`` timed sliced runs of the all-zeros amplitude per
     worker count, after one warmup run on the same pool.
 
-    Slice count defaults to 4x the largest worker count (rounded up to a
-    power of two), so that every worker contracts several slices.  A slice
-    count that is not a power of two or is below a worker count raises
-    ``ConfigError`` before any pool starts.
+    The slice count defaults to the least power of two at or above 4x the
+    largest worker count (8 for workers 1 and 2), so that every worker
+    contracts several slices.  A slice count that is not a power of two or
+    is below a worker count raises ``ConfigError`` before any pool starts.
     """
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
@@ -241,9 +240,7 @@ def strong_scaling_experiment(
     c = generate(spec)
     bits = "0" * c.num_qubits
     if slices is None:
-        slices = 1
-        while slices < 4 * most:
-            slices *= 2
+        slices = 1 << (4 * most - 1).bit_length()
     rows: list[dict] = []
     for workers in worker_counts:
         pool = WorkerPoolConfig(workers=workers)

@@ -23,6 +23,7 @@ keep their default BLAS threads.
 """
 from __future__ import annotations
 
+import contextlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -124,9 +125,9 @@ def run_sliced(
 
     net = build_network(c, bitstring)
 
-    own_executor = executor is None
-    executor = executor if executor is not None else make_worker_pool(pool.workers)
-    try:
+    with contextlib.ExitStack() as stack:
+        if executor is None:
+            executor = stack.enter_context(make_worker_pool(pool.workers))
         t0 = time.perf_counter()
         plan = tn.find_path(net, cfg, executor if pool.workers > 1 else None)
         if slices > 1:
@@ -141,9 +142,6 @@ def run_sliced(
         t1 = time.perf_counter()
         parts = list(executor.map(_contract_shard, tasks))
         wall = time.perf_counter() - t1
-    finally:
-        if own_executor:
-            executor.shutdown()
 
     return ScalingRun(
         result=sum((value for value, _ in parts), 0j),

@@ -211,7 +211,8 @@ def precision_dtype(precision: str) -> np.dtype:
 
 def sv_memory_bytes(n: int, precision: str = "single") -> int:
     """Bytes needed for the amplitudes of an ``n``-qubit state vector;
-    fewer than one qubit raises ``ConfigError``, as in ``init_zero``."""
+    fewer than one qubit or a precision other than 'single' and 'double'
+    raises ``ConfigError``."""
     if n < 1:
         raise ConfigError(f"need at least one qubit, got {n}")
     return (1 << n) * precision_dtype(precision).itemsize
@@ -223,18 +224,13 @@ class StateVector:
     amps: np.ndarray
 
 
-def _check_capacity(n: int, precision: str) -> None:
-    """Refuse an ``n``-qubit state over the budget, fewer than one qubit,
-    or a precision other than 'single' and 'double'."""
-    if n < 1:
-        raise ConfigError("need at least one qubit")
-    check_budget(1 << n, f"{n}-qubit state vector ({precision} precision)",
-                 precision_dtype(precision).itemsize)
-
-
 def init_zero(n: int, precision: str = "double") -> StateVector:
-    """|0...0> on ``n`` qubits; refuses sizes over the budget."""
-    _check_capacity(n, precision)
+    """|0...0> on ``n`` qubits, the one place that checks a state's size:
+    fewer than one qubit or a precision other than 'single' and 'double'
+    raises ``ConfigError`` (``sv_memory_bytes``), a state over the budget
+    ``CapacityError`` (``check_budget``), before anything is allocated."""
+    itemsize = sv_memory_bytes(n, precision) >> n
+    check_budget(1 << n, f"{n}-qubit state vector ({precision} precision)", itemsize)
     amps = np.zeros(1 << n, dtype=precision_dtype(precision))
     amps[0] = 1.0
     return StateVector(n, amps)
@@ -666,9 +662,10 @@ def apply_gate(sv: StateVector, op: GateOp) -> StateVector:
 def run(c: Circuit, precision: str = "double") -> StateVector:
     """Evolve |0...0> through every unitary op of ``c`` in order.
 
-    ``run`` checks the qubit budget, plans the passes (so a bad op raises
-    before the state is allocated), then allocates the state and executes
-    them, planning and executing on one BLAS thread and restoring the
+    ``run`` checks the precision, plans the passes (so a bad op raises
+    before the state is allocated), then allocates the state through
+    ``init_zero``, which refuses a state over the budget, and executes
+    the passes, planning and executing on one BLAS thread and restoring the
     caller's BLAS thread count afterwards.  Beyond the state itself it
     holds a scratch of ``TILE`` amplitudes, the plan (each GEMM's matrix a
     view of a block of at most ``2^10`` elements, each phase pass's
@@ -680,7 +677,6 @@ def run(c: Circuit, precision: str = "double") -> StateVector:
     A trailing measure is an end-of-circuit marker, not a gate, and is
     skipped.
     """
-    _check_capacity(c.num_qubits, precision)
     scratch = np.empty(TILE, dtype=precision_dtype(precision))
     ops = c.unitary_ops
     with blas.single_thread():

@@ -8,8 +8,9 @@ conjugate basis vector, in which case full contraction yields that
 bitstring's probability amplitude.  A circuit's trailing measure markers
 become no tensor; a measure mid-circuit cannot occur, since ``Circuit.add``
 refuses a gate after a measure.  A ``TensorNetwork`` is checked when it is
-made, whoever builds it: each open label lies on one tensor and every other
-label on two.  It cannot be changed afterwards.
+made, whoever builds it: the open labels are distinct, each lies on one
+tensor and every other label on two.  A network and its tensors are frozen:
+their fields cannot be reassigned afterwards.
 
 Every entry point runs the same pipeline: ``build_network`` (conversion
 plus absorption of the rank-1 tensors), ``find_path``, then ``contract``.
@@ -58,9 +59,10 @@ from .statevector import OutputDistribution, check_budget
 _BASIS = (np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tensor:
-    """Dense tensor with one unique label per index; every dimension is 2."""
+    """Dense tensor with one unique label per index; every dimension is 2.
+    It is checked when made, and its fields cannot be reassigned afterwards."""
 
     indices: tuple[str, ...]
     data: np.ndarray
@@ -91,15 +93,19 @@ class Tensor:
 
 @dataclass(frozen=True)
 class TensorNetwork:
-    """Tensors and the open labels, checked when made: an open label is on
-    exactly one tensor and every other label on exactly two, else
-    ``StructuralError``.  ``tensors`` is kept as a tuple."""
+    """Tensors and the open labels, checked when made: the open labels are
+    distinct, an open label is on exactly one tensor and every other label
+    on exactly two, else ``StructuralError``.  ``tensors`` and
+    ``open_indices`` are kept as tuples."""
 
     tensors: tuple[Tensor, ...]
     open_indices: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "tensors", tuple(self.tensors))
+        object.__setattr__(self, "open_indices", tuple(self.open_indices))
+        if len(set(self.open_indices)) != len(self.open_indices):
+            raise StructuralError(f"repeated open label in {self.open_indices}")
         seen = Counter(itertools.chain.from_iterable(t.indices for t in self.tensors))
         for label in (*seen, *self.open_indices):
             expected = 1 if label in self.open_indices else 2
@@ -367,9 +373,8 @@ def find_path(net: TensorNetwork, cfg: PathfinderConfig, executor=None) -> Contr
     ``executor`` (anything with ``map(fn, tasks)``, such as a
     ``sliced.make_worker_pool`` pool), as that executor's tasks.  The
     lowest ``(flops, sample)`` wins, so the plan is the same either way.
+    A network without tensors raises ``StructuralError`` (``_walk``).
     """
-    if not net.tensors:
-        raise StructuralError("cannot plan an empty network")
     sets = _index_sets(net)
     tasks = [(sets, cfg.seed, sample) for sample in range(cfg.num_samples)]
     runs = map(_descent, tasks) if executor is None else executor.map(_descent, tasks)

@@ -124,11 +124,25 @@ def test_simulate_bench_csv(tmp_path, capsys):
 
 
 def test_simulate_auto_runs(capsys):
+    # The advisor leaves vqe-5 to either backend: both run, sv first, and
+    # the faster one's payload is printed.
     code, out, _ = run_cli(capsys, "simulate", "--family", "vqe", "--n", "5",
-                           "--backend", "auto", "--warmup", "0", "--reps", "1")
+                           "--backend", "auto", "--warmup", "0", "--reps", "1", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["auto"]["recommended"] in ("sv", "tn", "either")
+    assert payload["auto"] == {"recommended": "either", "ran": ["sv", "tn"],
+                               "faster": payload["backend"]}
+    assert [row["backend"] for row in payload["bench_records"]] == ["sv", "tn"]
+
+
+def test_simulate_auto_runs_only_the_recommended_backend(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--family", "qft", "--n", "6",
+                           "--backend", "auto", "--warmup", "0", "--reps", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["auto"] == {"recommended": "sv", "ran": ["sv"]}
+    assert payload["backend"] == "sv"
+    assert {row["backend"] for row in payload["bench_records"]} == {"sv"}
 
 
 def test_pathstudy_csv(tmp_path, capsys):
@@ -222,6 +236,28 @@ def test_memory_csv(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     sv = [r for r in rows if r[0] == "statevector"][0]
     assert int(sv[2]) == 33554432
+
+
+def test_advise_avg_seeds_reads_the_averaged_metrics(capsys):
+    argv = ["--family", "random", "--n", "6", "--avg-seeds", "3"]
+    code, out, _ = run_cli(capsys, "advise", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["backend"] in ("statevector", "tensornet", "either")
+    assert payload["rationale"]
+    code, out, _ = run_cli(capsys, "metrics", *argv)
+    assert code == 0
+    averaged = json.loads(out)
+    del averaged["absent"]
+    assert payload["metrics"] == averaged
+
+
+def test_scaling_defaults_to_eight_slices_for_two_workers(capsys):
+    code, out, _ = run_cli(capsys, "scaling", "--family", "qft", "--n", "4",
+                           "--workers", "1,2", "--reps", "1", "--samples", "1", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(row["workers"], row["slices"]) for row in rows] == [(1, 8), (2, 8)]
 
 
 def test_advise_json(capsys):

@@ -28,6 +28,8 @@ BAD_INPUTS = {
     "gen-k": lambda: generate(GeneratorSpec(Family.BERNSTEIN_VAZIRANI, 4, k=1.5)),
     "gen-layers": lambda: generate(GeneratorSpec(Family.QAOA, 4, p_layers=0)),
     "gen-m": lambda: GeneratorSpec(Family.BERNSTEIN_VAZIRANI, 4, m=-1),
+    "gen-k-none": lambda: GeneratorSpec(Family.QAOA, 4, k=None),
+    "gen-p-float": lambda: GeneratorSpec(Family.QAOA, 4, p_layers=2.5),
     "bench-tn-precision": lambda: harness.bench_simulate(
         Circuit(2).h(0).cnot(0, 1), "tn", "quad", warmup=0, reps=1
     ),
@@ -104,4 +106,17 @@ def test_tensor_network_is_checked_when_made_and_read_only():
     assert net.tensors == (a, b)
     with pytest.raises(AttributeError):
         net.tensors = [a, b, c]
-    assert net.tensors == (a, b)
+    # Nor can a tensor be relabelled behind the network's check.
+    with pytest.raises(AttributeError):
+        net.tensors[0].indices = ("y",)
+    assert net.tensors == (a, b) and a.indices == ("x",)
+    # An open label may not be named twice.
+    eye, e0 = np.eye(2, dtype=complex), np.array([1, 0], complex)
+    pair = [tensornet.Tensor(("x", "y"), eye), tensornet.Tensor(("y",), e0)]
+    with pytest.raises(StructuralError, match="repeated open label"):
+        tensornet.TensorNetwork(pair, ("x", "x"))
+    # Nor can the open labels change after the check.
+    opens = ["x"]
+    net = tensornet.TensorNetwork(pair, opens)
+    opens.append("x")
+    assert net.open_indices == ("x",)

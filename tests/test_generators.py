@@ -113,11 +113,30 @@ def test_irrelevant_parameters_warn_in_params():
     assert "warning" not in clean.params
 
 
+ACCEPTED_NAMES = {
+    "qaoa": Family.QAOA, "random": Family.RANDOM, "qpe": Family.QPE, "qft": Family.QFT,
+    "vqe": Family.VQE, "hamiltonian": Family.HAMILTONIAN, "hamsim": Family.HAMILTONIAN,
+    "hiddenshift": Family.HIDDEN_SHIFT, "hidden-shift": Family.HIDDEN_SHIFT,
+    "hs": Family.HIDDEN_SHIFT, "bv": Family.BERNSTEIN_VAZIRANI,
+    "bernsteinvazirani": Family.BERNSTEIN_VAZIRANI,
+    "bernstein-vazirani": Family.BERNSTEIN_VAZIRANI,
+}
+
+
 def test_family_aliases():
-    assert family_from_name("hamsim") is Family.HAMILTONIAN
-    assert family_from_name("Bernstein-Vazirani") is Family.BERNSTEIN_VAZIRANI
-    with pytest.raises(ValueError):
+    # The 13 accepted spellings, in any case and with surrounding blanks.
+    for name, family in ACCEPTED_NAMES.items():
+        assert family_from_name(f" {name.upper()} ") is family
+    with pytest.raises(ValueError) as info:
         family_from_name("grover")
+    assert str(info.value).endswith(f"choose from {sorted(ACCEPTED_NAMES)}")
+
+
+def test_numpy_numbers_pass_as_knobs():
+    spec = GeneratorSpec(Family.QAOA, np.int64(4), p_layers=np.int32(2), k=np.float32(0.5),
+                         m=np.int64(1), seed=np.uint8(3))
+    plain = GeneratorSpec(Family.QAOA, 4, p_layers=2, m=1, seed=3)
+    assert spec == plain and generate(spec).ops == generate(plain).ops
 
 
 # -- functional correctness (state-vector backed) -------------------------

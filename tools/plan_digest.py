@@ -1,6 +1,16 @@
 """Print one sha256 per default TN plan, so two commits' plans can be compared.
 
-The first line is a ``circuits`` digest: the sha256 over the QASM text and
+The first line is a ``cli`` digest: the sha256 over the exit code and
+stdout of ``qcsim generate``, ``metrics``, ``metrics --avg-seeds 3``,
+``advise``, ``advise --avg-seeds 3`` and ``simulate`` on the sv, tn and
+auto backends (no warmup, one rep), for every family under each of
+``CLI_OPTION_SETS``: 128 outputs.  A simulate payload's ``timing`` is left
+out, and a run that the advisor left to either backend is reduced to its
+``auto`` record without ``faster``, since which backend ran faster depends
+on the host's timing.  A change to the CLI or the advisor that moves any
+output changes this line.
+
+The second line is a ``circuits`` digest: the sha256 over the QASM text and
 ``params`` of every family, n from 2 to 20, seeds 0, 1 and 7, under each of
 ``KNOB_SETS`` (the defaults, then each knob away from its default).  The
 ``params`` warning is left out, since it depends on which knobs a spec
@@ -17,15 +27,19 @@ Usage::
 
     PYTHONPATH=src python tools/plan_digest.py
 
-prints the circuits digest, one ``family  n  open|closed  digest`` line per
-plan, then the total.
+prints the cli and circuits digests, one ``family  n  open|closed  digest``
+line per plan, then the total.
 It is a check to run by hand, not a test: the n = 20 plans take seconds each.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import sys
 
+from qcsim.cli import main as cli_main
 from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.qasm import emit_qasm
 from qcsim.tensornet import PathfinderConfig, build_network, find_path
@@ -33,6 +47,41 @@ from qcsim.tensornet import PathfinderConfig, build_network, find_path
 SIZES = (8, 12, 16, 20)
 KNOB_SETS = ({}, {"p_layers": 2}, {"k": 0.25}, {"m": 1}, {"l_layers": 2}, {"t_steps": 2},
              {"dual_oracle": True})
+CLI_OPTION_SETS = (
+    ("--n", "4"),
+    ("--n", "6", "--seed", "1", "--k", "0.25", "--p-layers", "2", "--l-layers", "2",
+     "--t-steps", "2", "--dual-oracle"),
+)
+CLI_COMMANDS = (
+    ("generate",), ("metrics",), ("metrics", "--avg-seeds", "3"), ("advise",),
+    ("advise", "--avg-seeds", "3"),
+    *(("simulate", "--backend", b, "--warmup", "0", "--reps", "1") for b in ("sv", "tn", "auto")),
+)
+
+
+def _cli_output(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    text = out.getvalue()
+    if argv[0] == "simulate" and code == 0:
+        payload = json.loads(text)
+        payload.pop("timing")
+        if payload.get("auto", {}).get("recommended") == "either":
+            payload = {"auto": {k: v for k, v in payload["auto"].items() if k != "faster"}}
+        text = json.dumps(payload, sort_keys=True)
+    return f"{code}\n{text}"
+
+
+def cli_digest() -> str:
+    digest = hashlib.sha256()
+    for family in Family:
+        for options in CLI_OPTION_SETS:
+            for command in CLI_COMMANDS:
+                argv = [command[0], "--family", family.value, *options, *command[1:]]
+                digest.update(repr(argv).encode())
+                digest.update(_cli_output(argv).encode())
+    return digest.hexdigest()
 
 
 def circuits_digest() -> str:
@@ -56,6 +105,7 @@ def plan_digest(family: Family, n: int, closed: bool) -> str:
 
 
 def main() -> int:
+    print(f"cli  {cli_digest()}", flush=True)
     print(f"circuits  {circuits_digest()}", flush=True)
     total = hashlib.sha256()
     for family in Family:
