@@ -29,7 +29,7 @@ from .tensornet import (
     circuit_to_network,
     contract,
     contract_pair,
-    distribution_from_plan,
+    evaluate,
     find_path,
     reconstruct_distribution,
 )
@@ -64,10 +64,10 @@ __all__ = [
     "contract_pair",
     "find_path",
     "contract",
+    "evaluate",
     "choose_slices",
     "amplitude",
     "reconstruct_distribution",
-    "distribution_from_plan",
     "bitstring_to_index",
     "index_to_bitstring",
     "__version__",

@@ -142,10 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report(args) -> MetricsReport:
-    """The metrics ``metrics`` and ``advise`` read: with ``--avg-seeds`` and
-    no ``--in``, each field's mean over that many seeds of the spec (None
-    when any seed's is None), else the one circuit's."""
-    if not args.avg_seeds or args.infile:
+    """The metrics ``metrics`` and ``advise`` read: with ``--avg-seeds``,
+    each field's mean over that many seeds of the spec (None when any
+    seed's is None), else the one circuit's.  ``--avg-seeds`` with ``--in``
+    raises ``ConfigError``: a file has no seeds to average over."""
+    if args.avg_seeds and args.infile:
+        raise ConfigError("--avg-seeds averages generated circuits; it cannot be used with --in")
+    if not args.avg_seeds:
         return compute_all(_load_circuit(args))
     spec = _spec_from_args(args)
     reports = [compute_all(generate(replace(spec, seed=seed))) for seed in range(args.avg_seeds)]
@@ -155,7 +158,7 @@ def _report(args) -> MetricsReport:
         if any(v is None for v in values):
             return None
         mean = float(np.mean(values))
-        return int(mean) if field.type in (int, "int") else mean
+        return int(mean) if field.type == "int" else mean
 
     return MetricsReport(**{f.name: mean_of(f) for f in fields(MetricsReport)})
 

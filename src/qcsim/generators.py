@@ -7,8 +7,8 @@ a given :class:`GeneratorSpec` (seeded families draw every random choice from
 A spec is checked when it is made and holds the values its circuit is built
 with.  The knobs default to P=1, k=0.5, M=floor(k n), L=1, T=1, seed=0 and
 no dual oracle; integer ``n >= 2``, ``P, L, T >= 1`` and ``seed, M >= 0``
-(``M`` unless None) and a real ``0 <= k <= 1`` are required, else
-``ConfigError``.  A knob
+(``M`` unless None), a real ``0 <= k <= 1`` and a bool ``dual_oracle``
+are required, else ``ConfigError``.  A knob
 spelled out at its default gives a spec equal to one that leaves it out.
 ``_FAMILIES`` is the one table of the families: each one's builder and the
 knobs it reads.
@@ -102,8 +102,8 @@ class GeneratorSpec:
     (VQE layers L), ``t_steps=1`` (Trotter steps T), ``seed=0`` and
     ``dual_oracle=False``.  A spec with ``n < 2``, ``k`` outside [0, 1], a
     layer or step count below 1, a negative ``seed`` or ``m``, a count that
-    is not an integer (``operator.index``) or a ``k`` that is not a real
-    number raises ``ConfigError``.
+    is not an integer (``operator.index``), a ``k`` that is not a real
+    number or a ``dual_oracle`` that is not a bool raises ``ConfigError``.
     """
 
     family: Family
@@ -132,6 +132,8 @@ class GeneratorSpec:
             raise ConfigError(f"k must be a real number, got {self.k!r}")
         if not 0.0 <= self.k <= 1.0:
             raise ConfigError(f"k must lie in [0, 1], got {self.k}")
+        if not isinstance(self.dual_oracle, (bool, np.bool_)):
+            raise ConfigError(f"dual_oracle must be a bool, got {self.dual_oracle!r}")
 
     @property
     def ones(self) -> int:

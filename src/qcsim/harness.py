@@ -1,8 +1,10 @@
 """Benchmark harness: timed runs, CSV/JSON emission, experiments.
 
-Timing protocol: monotonic clock (``perf_counter``), configurable warmup
-runs excluded from statistics, mean and 90th percentile reported over the
-measured repetitions.
+Timing protocol: monotonic clock (``perf_counter``), warmup runs excluded
+from statistics, mean and 90th percentile reported over the measured
+repetitions.  ``bench_simulate`` takes its warmup count;
+``pathfinding_study`` and ``strong_scaling_experiment`` warm up once.  A
+TN run plans once, untimed, then times ``tensornet.evaluate`` of that plan.
 
 Every experiment returns flat dict rows whose keys are its CSV columns, in
 column order, and ``rows_to_csv`` takes the columns from the first row:
@@ -89,7 +91,9 @@ def bench_simulate(
 
     Returns (distribution-or-amplitude, per-rep rows).  The tensor
     network's time splits into one shared pathfinding phase plus per-rep
-    contraction; the state vector has no pathfinding component.  The tensor
+    ``tensornet.evaluate``; the state vector has no pathfinding component.
+    ``tensornet.build_network`` refuses a TN distribution whose ``2^n``
+    output is over the budget before any pathfinding.  The tensor
     network always computes in double precision, whatever ``precision``
     asks, and its rows say so; a ``precision`` other than 'single' and
     'double' raises ``ConfigError`` on either backend.  ``mem_bytes_est`` is the state vector's
@@ -107,16 +111,11 @@ def bench_simulate(
         mem = sv_backend.sv_memory_bytes(n, precision)
     elif backend == "tn":
         # Plan once, outside the timed contraction, on the network that runs.
-        wants_distribution = n <= TN_DISTRIBUTION_QUBITS
-        net = tn_backend.build_network(c, None if wants_distribution else "0" * n)
+        net = tn_backend.build_network(c, None if n <= TN_DISTRIBUTION_QUBITS else "0" * n)
         t0 = time.perf_counter()
         plan = tn_backend.find_path(net, cfg)
         pathfind_time = time.perf_counter() - t0
-        if wants_distribution:
-            work = lambda: tn_backend.distribution_from_plan(net, plan)
-        else:
-            work = lambda: complex(tn_backend.contract(net, plan).data.reshape(()))
-        times, result = timed(work, warmup, reps)
+        times, result = timed(lambda: tn_backend.evaluate(net, plan), warmup, reps)
         samples, peak = cfg.num_samples, plan.est_peak_elements
         mem = tn_backend.step_footprint(net, plan) * sv_backend.ELEMENT_BYTES
         precision = "double"
@@ -154,7 +153,6 @@ def pathfinding_study(
     spec: GeneratorSpec,
     samples_list: list[int],
     repetitions: int = 10,
-    warmup: int = 1,
     seed: int = 0,
 ) -> dict:
     """Pathfinding budget vs contraction time, single-threaded pathfinding,
@@ -162,7 +160,8 @@ def pathfinding_study(
 
     For each budget the whole sample sweep runs sequentially (the study
     measures total search cost, not wall-clock of a parallel search), then
-    the best plan's contraction is timed with the normal protocol.  Returns
+    the best plan's ``tensornet.evaluate`` is timed with the normal
+    protocol, after one warmup run.  Returns
     ``{"observed_class", "predicted_class", "rows"}``.
 
     Slope classification: contraction-time improvement of 10% or more from
@@ -181,7 +180,7 @@ def pathfinding_study(
         t0 = time.perf_counter()
         plan = tn_backend.find_path(net, cfg)
         pathfind_time = time.perf_counter() - t0
-        times, _ = timed(lambda: tn_backend.contract(net, plan), warmup, repetitions)
+        times, _ = timed(lambda: tn_backend.evaluate(net, plan), 1, repetitions)
         stats = summarize_times(times)
         rows.append({
             "family": spec.family.value,

@@ -6,7 +6,7 @@ pathfinding is ``tensornet.find_path`` with the pool as its executor, so
 its samples are spread over the workers and the one best plan is shared;
 the network is sliced into a power-of-two number of sub-networks; every
 slice has the same cost, so slice ``i`` goes to worker ``i mod workers``;
-each worker runs ``tensornet.contract`` on its slices' assignments, which
+each worker runs ``tensornet.evaluate`` on its slices' assignments, which
 sums them locally, and times that; a final reduction adds the per-worker
 partials.  Per-sample pathfinder seeds depend only on (seed, sample
 index), so the winning plan is identical for every worker count and to
@@ -79,7 +79,7 @@ class ScalingRun:
 def _contract_shard(args) -> tuple[complex, float]:
     net, plan, assignments = args
     t0 = time.perf_counter()
-    value = complex(tn.contract(net, plan, assignments).data.reshape(()))
+    value = tn.evaluate(net, plan, assignments)
     return value, time.perf_counter() - t0
 
 

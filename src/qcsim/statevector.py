@@ -79,14 +79,16 @@ a pass:
   applied and the gate becomes an item of its own.  So each item runs as
   a block move, and no dense 2-qubit kernel is needed.
 * The phase.  A diagonal item that is due is not applied but parked in
-  one pending phase polynomial, which comes before every other pending
-  gate.  So it is applied first when an item that is not diagonal or a
-  block is applied on a qubit the phase touches; at the end of the plan it
-  runs after the items and before the blocks.  Parking decides nothing
-  about fusion, so no circuit makes more passes.  A phase of at most
-  ``PHASE_PASS_GATES`` gates runs as its gates' block moves, one each as
-  if nothing was parked; a longer one runs as one phase pass.  QAOA's cost
-  layer (``CNOT RZ CNOT`` on every pair) is thus one pass.
+  the pending phase, a list of diagonal items with the mask of the qubits
+  they touch, which comes before every other pending gate.  So the phase
+  is applied first when an item that is not diagonal or a block is applied
+  on a qubit it touches; at the end of the plan it runs after the items
+  and before the blocks.  Parking decides nothing about fusion, so no
+  circuit makes more passes.  A phase of at most ``PHASE_PASS_GATES``
+  gates runs as its gates' block moves, one each as if nothing was parked;
+  a longer one runs as one phase pass, whose angles are priced only then
+  (``_phase_polynomial``).  QAOA's cost layer (``CNOT RZ CNOT`` on every
+  pair) is thus one pass.
 
 This is the k-qubit gate fusion of Häner & Steiger (arXiv:1704.01127),
 with k up to 5 for dense gates and, for diagonal gates, any number of
@@ -455,37 +457,24 @@ class _Item:
         return np.kron(self.u, _I2) if self.qubits[0] == pair[0] else np.kron(_I2, self.u)
 
 
-class _Phase:
-    """Diagonal gates parked for later: the phase
-    ``exp(i (g + sum_q a[q] x_q + sum_{p<q} b[p, q] x_p x_q))`` of the basis
-    state whose bits are ``x``, which is exact for any product of 1- and
-    2-qubit diagonal gates.  ``mask`` has bit ``q`` set when a gate
-    touches qubit ``q``; ``gates`` keeps the gates while there are at most
-    ``PHASE_PASS_GATES`` of them."""
-
-    __slots__ = ("g", "a", "b", "mask", "count", "gates")
-
-    def __init__(self, n: int):
-        self.g, self.a, self.b = 0.0, np.zeros(n), np.zeros((n, n))
-        self.mask = self.count = 0
-        self.gates: list[_Item] = []
-
-    def add(self, item: _Item) -> None:
+def _phase_polynomial(gates: list[_Item], n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(g, a, b)`` of the product of the diagonal ``gates`` on ``n``
+    qubits: its phase on the basis state whose bits are ``x`` is
+    ``exp(i (g + sum_q a[q] x_q + sum_{p<q} b[p, q] x_p x_q))``, which is
+    exact for any product of 1- and 2-qubit diagonal gates."""
+    g, a, b = 0.0, np.zeros(n), np.zeros((n, n))
+    for item in gates:
         phi = np.angle(np.diagonal(item.u)).tolist()
-        self.g += phi[0]
+        g += phi[0]
         if len(item.qubits) == 1:
-            self.a[item.qubits[0]] += phi[1] - phi[0]
+            a[item.qubits[0]] += phi[1] - phi[0]
         else:
             # Row 2 x_p + x_q of a 2-qubit matrix on (p, q).
             p, q = item.qubits
-            self.a[q] += phi[1] - phi[0]
-            self.a[p] += phi[2] - phi[0]
-            self.b[min(p, q), max(p, q)] += phi[3] - phi[2] - phi[1] + phi[0]
-        for q in item.qubits:
-            self.mask |= 1 << q
-        self.count += 1
-        if self.count <= PHASE_PASS_GATES:
-            self.gates.append(item)
+            a[q] += phi[1] - phi[0]
+            a[p] += phi[2] - phi[0]
+            b[min(p, q), max(p, q)] += phi[3] - phi[2] - phi[1] + phi[0]
+    return g, a, b
 
 
 class _Kernel:
@@ -495,15 +484,17 @@ class _Kernel:
 
     ``blocks`` holds the pending block of each band that has one,
     ``block_mask`` the qubits they touch, ``items`` each pending item under
-    each of its qubits, and ``phase`` the parked diagonal gates.  Emitted
-    passes go to ``passes``."""
+    each of its qubits, ``phase`` the parked diagonal items in order and
+    ``phase_mask`` the qubits they touch.  Emitted passes go to
+    ``passes``."""
 
     def __init__(self, n: int, scratch: np.ndarray):
         self.n, self.scratch = n, scratch
         self.blocks: dict[int, np.ndarray] = {}  # by band; a band without one has identity
         self.block_mask = 0
         self.items: dict[int, _Item] = {}
-        self.phase = _Phase(n)
+        self.phase: list[_Item] = []
+        self.phase_mask = 0
         self.passes: list[tuple] = []
 
     def plan(self, ops) -> list[tuple]:
@@ -562,25 +553,27 @@ class _Kernel:
     def _apply_item(self, item: _Item) -> None:
         """Apply one pending item: park a diagonal one in the phase, and
         move a permutation's blocks after the phase if it meets them."""
+        mask = sum(1 << q for q in item.qubits)
         for q in item.qubits:
             del self.items[q]
         if item.diagonal:
-            self.phase.add(item)
+            self.phase.append(item)
+            self.phase_mask |= mask
             return
-        self._apply_phase(sum(1 << q for q in item.qubits))
+        self._apply_phase(mask)
         self.passes.append(("move", item.qubits, item.u.astype(self.scratch.dtype, copy=False)))
 
     def _apply_phase(self, mask: int = -1) -> None:
         """Apply the parked diagonal gates if they touch a qubit of ``mask``
         (any qubit by default), then reset the phase to identity."""
-        if not self.phase.mask & mask:
+        if not self.phase_mask & mask:
             return
-        phase, self.phase = self.phase, _Phase(self.n)
-        if phase.count <= PHASE_PASS_GATES:
+        gates, self.phase, self.phase_mask = self.phase, [], 0
+        if len(gates) <= PHASE_PASS_GATES:
             self.passes += [("move", item.qubits, item.u.astype(self.scratch.dtype, copy=False))
-                            for item in phase.gates]
+                            for item in gates]
         else:
-            self.passes.append(("phase", phase.g, phase.a, phase.b))
+            self.passes.append(("phase", *_phase_polynomial(gates, self.n)))
 
     def _width(self, band: int) -> int:
         return min(FUSED_QUBITS, self.n - band * FUSED_QUBITS)

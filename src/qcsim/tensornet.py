@@ -13,15 +13,16 @@ tensor and every other label on two.  A network and its tensors are frozen:
 their fields cannot be reassigned afterwards.
 
 Every entry point runs the same pipeline: ``build_network`` (conversion
-plus absorption of the rank-1 tensors), ``find_path``, then ``contract``.
-An amplitude contracts the closed network to a scalar.  The full output
-distribution contracts the open network once to the n-qubit output state
-and squares it.  ``contract`` is the one plan executor: it runs sliced and
-unsliced plans alike, an unsliced plan being one slice with no label fixed.
-Before any contraction allocates, the plan's largest step footprint (per
-slice when sliced), and for a distribution first its ``2^n`` output, is
-checked against the one memory budget of ``statevector.check_budget``;
-work over it raises ``CapacityError``.
+plus absorption of the rank-1 tensors), ``find_path``, then ``evaluate``.
+``evaluate`` is the one place where a contraction becomes a value: the
+closed network's scalar is an amplitude, and the open network's n-qubit
+output state, squared, is the full output distribution.  It runs
+``contract``, the one plan executor, which runs sliced and unsliced plans
+alike, an unsliced plan being one slice with no label fixed.  Work over the
+one memory budget of ``statevector.check_budget`` raises ``CapacityError``
+before it allocates: ``build_network`` refuses an open network's ``2^n``
+output before it builds anything, and ``contract`` a plan's largest step
+footprint (per slice when sliced) before it contracts.
 
 A plan is a full binary contraction in SSA form over the network it was
 planned on: with ``m`` the network's tensor count, ids below ``m`` are its
@@ -80,15 +81,10 @@ class Tensor:
         return len(self.indices)
 
     def sliced(self, assignment: dict[str, int]) -> "Tensor":
-        """Fix the labels present in ``assignment`` to their bit values."""
-        data = self.data
-        indices = []
-        for pos, label in enumerate(self.indices):
-            if label in assignment:
-                data = np.take(data, assignment[label], axis=len(indices))
-            else:
-                indices.append(label)
-        return Tensor(tuple(indices), data)
+        """Fix the labels present in ``assignment`` to their bit values, as
+        a view of ``data``."""
+        data = self.data[tuple(assignment.get(l, slice(None)) for l in self.indices)]
+        return Tensor(tuple(l for l in self.indices if l not in assignment), data)
 
 
 @dataclass(frozen=True)
@@ -115,10 +111,7 @@ class TensorNetwork:
                 )
 
     def all_labels(self) -> set[str]:
-        labels: set[str] = set()
-        for t in self.tensors:
-            labels.update(t.indices)
-        return labels
+        return set(itertools.chain.from_iterable(t.indices for t in self.tensors))
 
 
 def circuit_to_network(c: Circuit, bitstring: str | None = None) -> TensorNetwork:
@@ -478,9 +471,31 @@ def build_network(c: Circuit, bitstring: str | None = None) -> TensorNetwork:
     its rank-1 tensors absorbed into a neighbour each.
 
     Without ``bitstring`` the network stays open on each qubit's final wire;
-    an idle qubit keeps its input vector as a rank-1 open tensor.
+    an idle qubit keeps its input vector as a rank-1 open tensor.  Its
+    ``2^n``-element output over the budget raises ``CapacityError`` before
+    anything is built, so no one plans a network whose value is refused.
     """
+    if bitstring is None:
+        check_budget(1 << c.num_qubits, f"the {c.num_qubits}-qubit output state")
     return absorb_small_tensors(circuit_to_network(c, bitstring), max_rank=1)
+
+
+def evaluate(net: TensorNetwork, plan: ContractionPlan,
+             assignments=None) -> complex | OutputDistribution:
+    """The value of ``contract(net, plan, assignments)``, which checks the
+    plan first: a ``complex`` for a closed network, and for an open one the
+    output state squared, as an ``OutputDistribution``.
+
+    Qubit ``q``'s open index is ``net.open_indices[q]``; the output axes are
+    put in reverse qubit order so that qubit 0 is the least-significant bit
+    of the flat index, as in ``bitstring_to_index``.
+    """
+    result = contract(net, plan, assignments)
+    if not net.open_indices:
+        return complex(result.data.reshape(()))
+    axes = [result.indices.index(label) for label in reversed(net.open_indices)]
+    amps = np.transpose(result.data, axes).ravel()
+    return OutputDistribution(len(net.open_indices), np.abs(amps) ** 2)
 
 
 def amplitude(
@@ -490,32 +505,14 @@ def amplitude(
 ) -> complex:
     """Probability amplitude of ``bitstring`` via network contraction."""
     net = build_network(c, bitstring)
-    plan = find_path(net, cfg or PathfinderConfig())
-    return complex(contract(net, plan).data.reshape(()))
-
-
-def distribution_from_plan(net: TensorNetwork, plan: ContractionPlan) -> OutputDistribution:
-    """Contract the open network ``net`` once and square the output state.
-
-    Qubit ``q``'s open index is ``net.open_indices[q]``; the output axes are
-    put in reverse qubit order so that qubit 0 is the least-significant bit
-    of the flat index, as in ``bitstring_to_index``.  ``contract`` checks the
-    plan against the memory budget first.
-    """
-    result = contract(net, plan)
-    axes = [result.indices.index(label) for label in reversed(net.open_indices)]
-    amps = np.transpose(result.data, axes).ravel()
-    return OutputDistribution(len(net.open_indices), np.abs(amps) ** 2)
+    return evaluate(net, find_path(net, cfg or PathfinderConfig()))
 
 
 def reconstruct_distribution(
     c: Circuit, cfg: PathfinderConfig | None = None
 ) -> OutputDistribution:
-    """Full output distribution from one contraction of the open network.
-
-    A ``2^n``-element output over the budget is refused before the network
-    is built or planned; ``contract`` then checks the plan's largest step.
-    """
-    check_budget(1 << c.num_qubits, f"the {c.num_qubits}-qubit output state")
+    """Full output distribution from one contraction of the open network;
+    ``build_network`` refuses a ``2^n`` output over the budget before
+    anything is planned."""
     net = build_network(c)
-    return distribution_from_plan(net, find_path(net, cfg or PathfinderConfig()))
+    return evaluate(net, find_path(net, cfg or PathfinderConfig()))

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from qcsim import statevector
+from qcsim import statevector, tensornet
 from qcsim.cli import _distribution_payload, main
 from qcsim.generators import Family, GeneratorSpec, generate
+from qcsim.harness import TN_DISTRIBUTION_QUBITS
 from qcsim.qasm import parse_qasm
 
 from conftest import gate_counts, top_outcomes
@@ -110,6 +111,28 @@ def test_simulate_capacity_exit_code(capsys, monkeypatch):
                            "--backend", "sv", "--warmup", "0", "--reps", "1")
     assert code == 3
     assert str((1 << 10) * 16) in err
+
+
+def test_simulate_tn_refuses_an_output_over_budget_before_pathfinding(capsys, monkeypatch):
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "5")
+    planned = []
+    monkeypatch.setattr(tensornet, "find_path", lambda *args: planned.append(args))
+    code, out, err = run_cli(capsys, "simulate", "--family", "qft", "--n", "6",
+                             "--backend", "tn", "--warmup", "0", "--reps", "1")
+    assert (code, out, planned) == (3, "", [])
+    assert "output state" in err
+
+
+def test_simulate_tn_above_the_distribution_limit_prints_the_zero_amplitude(capsys):
+    n = TN_DISTRIBUTION_QUBITS + 1
+    code, out, _ = run_cli(capsys, "simulate", "--family", "vqe", "--n", str(n),
+                           "--backend", "tn", "--warmup", "0", "--reps", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bitstring"] == "0" * n
+    want = complex(statevector.run(generate(GeneratorSpec(Family.VQE, n))).amps[0])
+    got = complex(payload["amplitude_re"], payload["amplitude_im"])
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_simulate_bench_csv(tmp_path, capsys):
@@ -258,6 +281,15 @@ def test_scaling_defaults_to_eight_slices_for_two_workers(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [(row["workers"], row["slices"]) for row in rows] == [(1, 8), (2, 8)]
+
+
+@pytest.mark.parametrize("command", ["metrics", "advise"])
+def test_avg_seeds_with_a_file_is_a_usage_error(tmp_path, capsys, command):
+    src = tmp_path / "bell.qasm"
+    src.write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n")
+    code, out, err = run_cli(capsys, command, "--in", str(src), "--avg-seeds", "3")
+    assert (code, out) == (2, "")
+    assert "--avg-seeds" in err and "--in" in err
 
 
 def test_advise_json(capsys):

@@ -30,6 +30,7 @@ BAD_INPUTS = {
     "gen-m": lambda: GeneratorSpec(Family.BERNSTEIN_VAZIRANI, 4, m=-1),
     "gen-k-none": lambda: GeneratorSpec(Family.QAOA, 4, k=None),
     "gen-p-float": lambda: GeneratorSpec(Family.QAOA, 4, p_layers=2.5),
+    "gen-dual-str": lambda: GeneratorSpec(Family.HIDDEN_SHIFT, 4, dual_oracle="no"),
     "bench-tn-precision": lambda: harness.bench_simulate(
         Circuit(2).h(0).cnot(0, 1), "tn", "quad", warmup=0, reps=1
     ),

@@ -109,7 +109,7 @@ def test_scaling_csv_round_trip():
 
 def test_pathstudy_rows_and_csv():
     result = harness.pathfinding_study(
-        GeneratorSpec(Family.VQE, 6), [1, 2, 4], repetitions=2, warmup=1
+        GeneratorSpec(Family.VQE, 6), [1, 2, 4], repetitions=2
     )
     assert set(result) == {"observed_class", "predicted_class", "rows"}
     assert [r["samples"] for r in result["rows"]] == [1, 2, 4]
@@ -124,7 +124,7 @@ def test_pathstudy_rows_and_csv():
 
 def test_pathstudy_single_budget():
     result = harness.pathfinding_study(
-        GeneratorSpec(Family.QFT, 5), [1], repetitions=1, warmup=0
+        GeneratorSpec(Family.QFT, 5), [1], repetitions=1
     )
     assert len(result["rows"]) == 1
 

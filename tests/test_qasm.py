@@ -184,6 +184,32 @@ def test_gate_after_measure_raises_with_its_line():
     assert err.value.line == 5
 
 
+_HEAD = "OPENQASM 2.0;\nqreg q[2];\n"
+
+
+@pytest.mark.parametrize("src, line", [
+    (_HEAD + "h r[0];\n", 3),  # unknown register
+    ("// nothing but a comment\n", None),  # empty source
+    (_HEAD + "3 q[0];\n", 3),  # unparsable statement
+    ("OPENQASM 2.0;\nqreg(2) q[2];\n", 2),  # a declaration with an argument
+    ("OPENQASM 2.0;\ninclude qelib1.inc;\n", 2),  # include without quotes
+    ("OPENQASM 2.0;\nqreg q;\n", 2),  # declaration without a size
+    ("OPENQASM 2.0;\nqreg q[0];\n", 2),  # empty register
+    ("OPENQASM 2.0;\nh q[0];\nqreg q[2];\n", 2),  # a gate before the qreg
+    (_HEAD + "creg c[2];\nmeasure q[0];\n", 4),  # measure without a target
+    (_HEAD + "h q;\n", 3),  # whole-register gate operand
+    ('OPENQASM 2.0;\ninclude "qelib1.inc";\n', None),  # no qreg
+    (_HEAD + "rx q[0];\n", 3),  # a rotation without its angle
+    (_HEAD + "h(0.5) q[0];\n", 3),  # an angle on a gate that takes none
+], ids=["unknown-register", "empty", "unparsable", "qreg-argument", "bad-include",
+        "qreg-no-size", "qreg-empty", "gate-before-qreg", "measure-no-target",
+        "whole-register-gate", "no-qreg", "missing-angle", "extra-angle"])
+def test_malformed_source_is_refused_with_its_line(src, line):
+    with pytest.raises(QasmParseError) as err:
+        parse_qasm(src)
+    assert err.value.line == line
+
+
 # -- the angle evaluator against Python's own arithmetic ---------------------
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}

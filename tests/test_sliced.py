@@ -186,7 +186,7 @@ def test_every_tn_entry_point_plans_through_find_path(monkeypatch):
                                       slices=2, executor=two)) == [two]
     assert [len(tasks) for fn, tasks in two.calls if fn is tensornet._descent] == [4]
     assert planned(lambda: bench_simulate(c, "tn", warmup=0, reps=1)) == [None]
-    assert planned(lambda: pathfinding_study(spec, [1, 2], repetitions=1, warmup=0)) == [None] * 2
+    assert planned(lambda: pathfinding_study(spec, [1, 2], repetitions=1)) == [None] * 2
 
 
 @st.composite

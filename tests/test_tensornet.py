@@ -23,7 +23,7 @@ from qcsim.tensornet import (
     circuit_to_network,
     contract,
     contract_pair,
-    distribution_from_plan,
+    evaluate,
     find_path,
     reconstruct_distribution,
 )
@@ -414,7 +414,7 @@ def test_distribution_from_plan_refuses_peak_over_budget(monkeypatch):
 
     _forbid_contraction(monkeypatch, "contracted an over-budget plan")
     with pytest.raises(CapacityError) as info:
-        distribution_from_plan(net, plan)
+        evaluate(net, plan)
     assert info.value.required_bytes == 384 * 16
     with pytest.raises(CapacityError):
         reconstruct_distribution(c)
@@ -524,7 +524,7 @@ def test_distribution_from_sliced_open_plan_matches_statevector():
         net = build_network(c)
         plan = choose_slices(net, find_path(net, cfg), 4)
         assert plan.sliced_labels
-        got = distribution_from_plan(net, plan)
+        got = evaluate(net, plan)
         np.testing.assert_allclose(got.probs, distribution(run(c)).probs, atol=1e-10)
 
 

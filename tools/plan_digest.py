@@ -17,6 +17,13 @@ The second line is a ``circuits`` digest: the sha256 over the QASM text and
 spells out rather than on the circuit.  A change to ``generators`` that
 moves any circuit changes this line.
 
+The third line is an ``sv`` digest: the sha256 over the passes of
+``statevector.plan`` for every family, n from 2 to 20, seeds 0 and 1, at
+single and double precision.  Each pass adds its kind, the ``repr`` of its
+qubits (a move's tuple, a GEMM's lowest qubit) and the bytes of every array
+and float it holds (a phase pass holds no qubits).  A change to the state-vector planner that moves any
+pass changes this line.
+
 Then, for every circuit family, n in 8/12/16/20, open and closed (the all-zeros
 bitstring), the plan is ``find_path(build_network(c, bits),
 PathfinderConfig())``; its digest is the sha256 of the ``repr`` of its
@@ -27,7 +34,7 @@ Usage::
 
     PYTHONPATH=src python tools/plan_digest.py
 
-prints the cli and circuits digests, one ``family  n  open|closed  digest``
+prints the cli, circuits and sv digests, one ``family  n  open|closed  digest``
 line per plan, then the total.
 It is a check to run by hand, not a test: the n = 20 plans take seconds each.
 """
@@ -39,9 +46,12 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from qcsim.cli import main as cli_main
 from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.qasm import emit_qasm
+from qcsim.statevector import plan as sv_plan
 from qcsim.tensornet import PathfinderConfig, build_network, find_path
 
 SIZES = (8, 12, 16, 20)
@@ -97,6 +107,25 @@ def circuits_digest() -> str:
     return digest.hexdigest()
 
 
+def sv_digest() -> str:
+    digest = hashlib.sha256()
+    for family in Family:
+        for n in range(2, 21):
+            for seed in (0, 1):
+                c = generate(GeneratorSpec(family, n, seed=seed))
+                for precision in ("single", "double"):
+                    for kind, *args in sv_plan(c, precision):
+                        digest.update(kind.encode())
+                        for arg in args:
+                            if isinstance(arg, np.ndarray):
+                                digest.update(np.ascontiguousarray(arg).tobytes())
+                            elif isinstance(arg, float):
+                                digest.update(np.float64(arg).tobytes())
+                            else:
+                                digest.update(repr(arg).encode())
+    return digest.hexdigest()
+
+
 def plan_digest(family: Family, n: int, closed: bool) -> str:
     c = generate(GeneratorSpec(family, n))
     plan = find_path(build_network(c, "0" * n if closed else None), PathfinderConfig())
@@ -107,6 +136,7 @@ def plan_digest(family: Family, n: int, closed: bool) -> str:
 def main() -> int:
     print(f"cli  {cli_digest()}", flush=True)
     print(f"circuits  {circuits_digest()}", flush=True)
+    print(f"sv  {sv_digest()}", flush=True)
     total = hashlib.sha256()
     for family in Family:
         for n in SIZES:
