@@ -54,8 +54,9 @@ TN_DISTRIBUTION_QUBITS = 20
 
 def timed(fn, warmup: int, reps: int) -> tuple[list[float], object]:
     """Run ``fn`` ``warmup + reps`` times; return measured times and the
-    last result.  ``warmup`` below 0 or ``reps`` below 1 raises
-    ``ConfigError``."""
+    last result.  Each rep's result is dropped before the next call, so
+    that no two are held at once.  ``warmup`` below 0 or ``reps`` below 1
+    raises ``ConfigError``."""
     if warmup < 0:
         raise ConfigError(f"warmup must be >= 0, got {warmup}")
     if reps < 1:
@@ -64,6 +65,7 @@ def timed(fn, warmup: int, reps: int) -> tuple[list[float], object]:
         fn()
     times = []
     for _ in range(reps):
+        result = None
         t0 = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)

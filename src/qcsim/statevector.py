@@ -7,7 +7,9 @@ share one planner and one executor.  The planner keeps gates pending while
 they commute with what follows, fuses pending gates, and emits the passes
 over the state that apply them; its decisions depend on the gates alone,
 never on the amplitudes, so ``plan`` returns a circuit's passes without a
-state.  The executor then runs the passes in order.
+state.  The executor then runs the passes in order.  A plan builds and
+classifies each distinct gate (by kind and angle) once and keeps its
+matrix read-only.
 
 The plan is a list of tuples of plain data, matrices at the state's dtype:
 
@@ -55,7 +57,8 @@ a pass:
   applying each gate that joins it to the matrix itself.  Viewed as a
   ``2m``-qubit state whose high ``m`` bits index its rows, the matrix
   takes the gate on its qubits shifted into those bits through block moves
-  and GEMMs (the folds, on at most ``2^10`` elements, run while planning).
+  and GEMMs (the folds, on at most ``2^10`` elements, run while planning;
+  a block that a dense gate opens is written as that GEMM's result).
   A gate whose qubits all lie in one band joins the band's
   block when it is dense (H, RX, RY) or the block already touches one of
   its qubits; the pending items on its qubits that lie wholly in the band
@@ -109,6 +112,7 @@ the output, per slice).  ``check_budget`` refuses work over the budget with
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -243,10 +247,10 @@ def _blocks(amps: np.ndarray, qubits: tuple[int, ...]) -> list[np.ndarray]:
     bits read ``k`` in the matrix order of ``gates.py``.  The reshapes
     refuse to copy, so writes to a block always land in ``amps``."""
     if len(qubits) == 1:
-        view = np.reshape(amps, (-1, 2, 1 << qubits[0]), copy=False)
+        view = amps.reshape((-1, 2, 1 << qubits[0]), copy=False)
         return [view[:, 0, :], view[:, 1, :]]
     lo, hi = sorted(qubits)
-    view = np.reshape(amps, (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo), copy=False)
+    view = amps.reshape((-1, 2, 1 << (hi - lo - 1), 2, 1 << lo), copy=False)
     if qubits[0] == hi:
         return [view[:, k >> 1, :, k & 1, :] for k in range(4)]
     return [view[:, k & 1, :, k >> 1, :] for k in range(4)]
@@ -281,16 +285,14 @@ def _move(amps: np.ndarray, qubits: tuple[int, ...], u: np.ndarray, scratch: np.
     scratch; each longer cycle is moved tile by tile, its first tile
     parked in the scratch."""
     blocks = _blocks(amps, qubits)
+    src = u.nonzero()[1].tolist()  # the one nonzero column of each row
     u = u.tolist()  # Python scalars take the dtype of ``amps`` in numpy arithmetic
-    src = [next(j for j, x in enumerate(row) if x) for row in u]
-    seen = set()
     for first in range(len(blocks)):
-        if first in seen:
-            continue
         cycle = [first]
         while src[cycle[-1]] != first:
             cycle.append(src[cycle[-1]])
-        seen.update(cycle)
+        if min(cycle) < first:  # moved with the cycle's least block
+            continue
         if len(cycle) == 1:
             if u[first][first] != 1:
                 blocks[first] *= u[first][first]
@@ -320,8 +322,8 @@ def _gemm(amps: np.ndarray, lo: int, u: np.ndarray, scratch: np.ndarray) -> None
             np.matmul(chunk, u.T, out=out[: len(chunk)])
             np.copyto(chunk, out[: len(chunk)])
         return
-    view = np.reshape(amps, (-1, d, 1 << lo), copy=False)
-    width = view.shape[2]
+    width = 1 << lo
+    view = amps.reshape(-1, d, width)
     size = scratch.size // (2 * d)  # columns of a tile: it and its product fill the scratch
     if width >= size:
         out = scratch[: d * size].reshape(d, size)
@@ -331,13 +333,13 @@ def _gemm(amps: np.ndarray, lo: int, u: np.ndarray, scratch: np.ndarray) -> None
                 np.matmul(u, tile, out=out[:, : tile.shape[1]])
                 np.copyto(tile, out[:, : tile.shape[1]])
         return
-    for start in range(0, view.shape[0], size // width):
-        tile = view[start:start + size // width].transpose(1, 0, 2)
-        m = tile[0].size
-        ins, outs = scratch[: d * m].reshape(d, m), scratch[d * m: 2 * d * m].reshape(d, m)
-        np.copyto(ins.reshape(tile.shape), tile)
+    for start in range(0, len(view), size // width):
+        tile = view[start:start + size // width]
+        k = tile.size
+        ins, outs = scratch[:k].reshape(d, -1), scratch[k:2 * k].reshape(d, -1)
+        np.copyto(ins.reshape(d, -1, width).transpose(1, 0, 2), tile)
         np.matmul(u, ins, out=outs)
-        np.copyto(tile, outs.reshape(tile.shape))
+        np.copyto(tile, outs.reshape(d, -1, width).transpose(1, 0, 2))
 
 
 def _product_table(out: np.ndarray, factors) -> None:
@@ -425,36 +427,66 @@ def _phase_pass(amps: np.ndarray, g: float, a: np.ndarray, b: np.ndarray,
             tile *= by_l[:, i]
 
 
+def _seeded(m: int, q: int, u: np.ndarray) -> np.ndarray:
+    """The identity block of ``2^m x 2^m`` with the dense 2x2 ``u`` folded
+    in on its qubit ``q``, without the fold: ``u + 0`` where the row and
+    column bits other than ``q`` agree, +0 elsewhere.  For ``m`` of 2 or
+    more these are the fold's bytes, since its GEMM adds only zeros to
+    ``u``'s entries, which turns -0 into +0; for ``m = 1`` OpenBLAS's
+    GEMM of width 2 leaves some -0, so that block starts from the
+    identity.  A tier-1 test checks both against the BLAS in use."""
+    block = np.zeros(1 << 2 * m, dtype=u.dtype)
+    s = block.itemsize
+    # A view of the entries whose other bits agree, by row bits above q
+    # (the column's alike), row bit q, bits below q, then column bit q.
+    np.ndarray((1 << m - 1 - q, 2, 1 << q, 2), u.dtype, block, strides=(
+        s * ((2 << m + q) + (2 << q)), s << m + q, s * ((1 << m) + 1), s << q))[...] = u[:, None, :] + 0
+    return block
+
+
 def _check_qubits(op: GateOp, n: int) -> None:
     if op.is_measure:
         raise UnsupportedOpError("a measure is an end-of-circuit marker, not a gate")
-    for q in op.qubits:
-        if not 0 <= q < n:
-            raise ConfigError(f"qubit {q} outside register of width {n}")
+    if outside := [q for q in op.qubits if not 0 <= q < n]:
+        raise ConfigError(f"qubit {outside[0]} outside register of width {n}")
 
 
 _I2 = np.eye(2, dtype=np.complex128)
 _SWAPPED = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])  # a 4x4 matrix with its qubits swapped
 
 
+def _classify(u: np.ndarray) -> tuple[bool, bool]:
+    """``(sparse, diagonal)`` of the unitary ``u``: one nonzero per row, and
+    those on its diagonal."""
+    # Every row of a unitary has a nonzero entry.
+    sparse = np.count_nonzero(u) == len(u)
+    return sparse, sparse and np.count_nonzero(u.diagonal()) == len(u)
+
+
 class _Item:
-    """A pending gate: a 2x2 or 4x4 matrix ``u`` on ``qubits``, ``sparse``
-    when it has one nonzero per row (diagonal or permutation), ``diagonal``
-    when those are its diagonal."""
+    """A pending gate: a 2x2 or 4x4 matrix ``u`` on ``qubits``, whose bits
+    are ``mask``, with its class from ``_classify``: ``sparse`` when ``u``
+    has one nonzero per row (diagonal or permutation), ``diagonal`` when
+    those are its diagonal.  The class is given, not computed, so that a
+    gate's comes from the kernel's memo."""
 
-    __slots__ = ("qubits", "u", "sparse", "diagonal")
+    __slots__ = ("qubits", "mask", "u", "sparse", "diagonal")
 
-    def __init__(self, qubits: tuple[int, ...], u: np.ndarray):
-        self.qubits, self.u = qubits, u
-        # Every row of a unitary has a nonzero entry.
-        self.sparse = np.count_nonzero(u) == len(u)
-        self.diagonal = self.sparse and np.count_nonzero(np.diagonal(u)) == len(u)
+    def __init__(self, qubits: tuple[int, ...], u: np.ndarray, sparse: bool, diagonal: bool):
+        self.qubits, self.u, self.sparse, self.diagonal = qubits, u, sparse, diagonal
+        self.mask = 1 << qubits[0] | 1 << qubits[-1]
 
     def on(self, pair: tuple[int, int]) -> np.ndarray:
-        """The matrix as a 4x4 matrix on ``pair``, which holds its qubits."""
+        """The matrix as a 4x4 matrix on ``pair``, which holds its qubits.  A
+        1-qubit ``u`` is multiplied by the identity into a fixed layout, as
+        ``np.kron`` does, so the entries keep kron's bytes, signed zeros
+        included (a plain placement of ``u`` would not)."""
         if len(self.qubits) == 2:
             return self.u if self.qubits == pair else self.u[_SWAPPED]
-        return np.kron(self.u, _I2) if self.qubits[0] == pair[0] else np.kron(_I2, self.u)
+        a, b = (self.u, _I2) if self.qubits[0] == pair[0] else (_I2, self.u)
+        # Entry [i, k, j, l], that is [2i + k, 2j + l], is a[i, j] b[k, l].
+        return np.multiply(a[:, None, :, None], b[None, :, None, :],
+                           out=np.empty((2, 2, 2, 2), dtype=np.complex128)).reshape(4, 4)
 
 
 def _phase_polynomial(gates: list[_Item], n: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -462,9 +494,9 @@ def _phase_polynomial(gates: list[_Item], n: int) -> tuple[float, np.ndarray, np
     qubits: its phase on the basis state whose bits are ``x`` is
     ``exp(i (g + sum_q a[q] x_q + sum_{p<q} b[p, q] x_p x_q))``, which is
     exact for any product of 1- and 2-qubit diagonal gates."""
-    g, a, b = 0.0, np.zeros(n), np.zeros((n, n))
+    g, a, b = 0.0, [0.0] * n, [[0.0] * n for _ in range(n)]  # Python floats add as float64
     for item in gates:
-        phi = np.angle(np.diagonal(item.u)).tolist()
+        phi = np.angle(item.u.diagonal()).tolist()
         g += phi[0]
         if len(item.qubits) == 1:
             a[item.qubits[0]] += phi[1] - phi[0]
@@ -473,8 +505,8 @@ def _phase_polynomial(gates: list[_Item], n: int) -> tuple[float, np.ndarray, np
             p, q = item.qubits
             a[q] += phi[1] - phi[0]
             a[p] += phi[2] - phi[0]
-            b[min(p, q), max(p, q)] += phi[3] - phi[2] - phi[1] + phi[0]
-    return g, a, b
+            b[min(p, q)][max(p, q)] += phi[3] - phi[2] - phi[1] + phi[0]
+    return g, np.array(a), np.array(b)
 
 
 class _Kernel:
@@ -486,10 +518,12 @@ class _Kernel:
     ``block_mask`` the qubits they touch, ``items`` each pending item under
     each of its qubits, ``phase`` the parked diagonal items in order and
     ``phase_mask`` the qubits they touch.  Emitted passes go to
-    ``passes``."""
+    ``passes``.  ``gates`` memoizes each distinct gate's matrix, read-only,
+    and its class, so a plan builds and classifies each once."""
 
     def __init__(self, n: int, scratch: np.ndarray):
         self.n, self.scratch = n, scratch
+        self.gates: dict[tuple, tuple[np.ndarray, bool, bool]] = {}
         self.blocks: dict[int, np.ndarray] = {}  # by band; a band without one has identity
         self.block_mask = 0
         self.items: dict[int, _Item] = {}
@@ -513,54 +547,63 @@ class _Kernel:
 
     def apply(self, op: GateOp) -> None:
         _check_qubits(op, self.n)
-        gate = _Item(op.qubits, op.matrix())
+        # The memo's key: a zero angle's sign too, since it moves signed zeros.
+        key = (op.kind, op.angle) if op.angle else (op.kind, repr(op.angle))
+        entry = self.gates.get(key)
+        if entry is None:
+            entry = self.gates[key] = (u := op.matrix(), *_classify(u))
+            u.flags.writeable = False
+        gate, items = _Item(op.qubits, *entry), self.items
         if not gate.sparse and len(gate.qubits) > 1:
             raise UnsupportedOpError(f"no kernel for a dense {len(gate.qubits)}-qubit gate")
-        touched = list(dict.fromkeys(self.items[q] for q in gate.qubits if q in self.items))
+        touched = [items[q] for q in gate.qubits if q in items]
+        touched = touched[:1] if len(touched) == 2 and touched[0] is touched[1] else touched
         band = gate.qubits[0] // FUSED_QUBITS
-        if all(q // FUSED_QUBITS == band for q in gate.qubits) and (
-                not gate.sparse or any(self.block_mask >> q & 1 for q in gate.qubits)):
+        # A gate or item lies in one band when its first and last qubits do.
+        if gate.qubits[-1] // FUSED_QUBITS == band and (
+                not gate.sparse or self.block_mask & gate.mask):
             for item in touched:
-                if all(q // FUSED_QUBITS == band for q in item.qubits):
+                if item.qubits[0] // FUSED_QUBITS == band == item.qubits[-1] // FUSED_QUBITS:
                     for q in item.qubits:
-                        del self.items[q]
+                        del items[q]
                     self._fold(band, item)
                 else:
                     self._apply_item(item)
             self._fold(band, gate)
             return
-        for band in {q // FUSED_QUBITS for q in gate.qubits if self.block_mask >> q & 1}:
-            self._apply_block(band)
-        if len(set(gate.qubits).union(*(item.qubits for item in touched))) > 2:
+        if self.block_mask & gate.mask:
+            for band in {q // FUSED_QUBITS for q in gate.qubits if self.block_mask >> q & 1}:
+                self._apply_block(band)
+        # Pending items are disjoint, so their masks' sum is their union.
+        if touched and (gate.mask | sum([item.mask for item in touched])).bit_count() > 2:
             for item in touched:
                 self._apply_item(item)
         elif touched:
             gate = self._fuse(gate, touched)
         for q in gate.qubits:
-            self.items[q] = gate
+            items[q] = gate
 
     @staticmethod
     def _fuse(gate: _Item, touched: list[_Item]) -> _Item:
-        """``gate`` times the items it touches, as one item on their qubits."""
+        """``gate`` times the items it touches, as one item on their
+        qubits, classified by its own matrix."""
         if len(gate.qubits) == 1 and len(touched[0].qubits) == 1:
-            return _Item(gate.qubits, gate.u @ touched[0].u)
+            u = gate.u @ touched[0].u
+            return _Item(gate.qubits, u, *_classify(u))
         pair = gate.qubits if len(gate.qubits) == 2 else touched[0].qubits
-        u = gate.on(pair)
-        for item in touched:
-            u = u @ item.on(pair)
-        return _Item(pair, u)
+        u = functools.reduce(np.matmul, [item.on(pair) for item in touched], gate.on(pair))
+        return _Item(pair, u, *_classify(u))
 
     def _apply_item(self, item: _Item) -> None:
         """Apply one pending item: park a diagonal one in the phase, and
         move a permutation's blocks after the phase if it meets them."""
-        mask = sum(1 << q for q in item.qubits)
         for q in item.qubits:
             del self.items[q]
         if item.diagonal:
             self.phase.append(item)
-            self.phase_mask |= mask
+            self.phase_mask |= item.mask
             return
-        self._apply_phase(mask)
+        self._apply_phase(item.mask)
         self.passes.append(("move", item.qubits, item.u.astype(self.scratch.dtype, copy=False)))
 
     def _apply_phase(self, mask: int = -1) -> None:
@@ -581,18 +624,22 @@ class _Kernel:
     def _fold(self, band: int, gate: _Item) -> None:
         """Multiply ``gate``, on qubits of ``band``, into the band's block.
         The block's row index is its high ``m`` bits, so the gate acts on
-        its qubits shifted there."""
-        m = self._width(band)
+        its qubits shifted there: a sparse gate by block moves, a dense one
+        by a GEMM (one tile: the block fills at most a sixth of the
+        scratch).  A band without a block starts from the identity, except
+        that a dense gate on a band of two qubits or more starts it as
+        ``_seeded``, the same bytes without the identity's GEMM."""
+        m, first = self._width(band), band * FUSED_QUBITS
         block = self.blocks.get(band)
-        if block is None:
+        if block is None and (gate.sparse or m == 1):
             block = self.blocks[band] = np.eye(1 << m, dtype=self.scratch.dtype).ravel()
-        shifted = tuple(q - band * FUSED_QUBITS + m for q in gate.qubits)
-        if gate.sparse:
-            _move(block, shifted, gate.u, self.scratch)
+        if block is None:
+            self.blocks[band] = _seeded(m, gate.qubits[0] - first, gate.u.astype(self.scratch.dtype))
+        elif gate.sparse:
+            _move(block, tuple(q - first + m for q in gate.qubits), gate.u, self.scratch)
         else:
-            _gemm(block, shifted[0], gate.u.astype(block.dtype, copy=False), self.scratch)
-        for q in gate.qubits:
-            self.block_mask |= 1 << q
+            _gemm(block, gate.qubits[0] - first + m, gate.u.astype(block.dtype, copy=False), self.scratch)
+        self.block_mask |= gate.mask
 
     def _apply_block(self, band: int) -> None:
         """Apply the band's pending block as one GEMM, after the phase if
@@ -604,8 +651,7 @@ class _Kernel:
         mask >>= first
         lo = 0 if band == 0 else (mask & -mask).bit_length() - 1
         d = 1 << (mask.bit_length() - lo)
-        if band == 0:
-            d = max(d, min(_MIN_GEMM_WIDTH, 1 << m))
+        d = max(d, min(_MIN_GEMM_WIDTH, 1 << m)) if band == 0 else d
         # The rows and columns whose bits outside ``lo`` to ``lo + log2 d - 1`` read 0.
         u = self.blocks.pop(band).reshape(1 << m, 1 << m)[: d << lo: 1 << lo, : d << lo: 1 << lo]
         self.passes.append(("gemm", first + lo, u))
@@ -694,5 +740,11 @@ class OutputDistribution:
 
 
 def distribution(sv: StateVector) -> OutputDistribution:
-    probs = np.abs(sv.amps.astype(np.complex128, copy=False)) ** 2
-    return OutputDistribution(sv.num_qubits, probs)
+    """The probability of each basis state, ``|amp|^2`` in float64 with the
+    modulus taken in complex128.  Beyond ``probs`` it holds at most
+    ``TILE`` amplitudes, a single-precision state's chunk promoted to
+    complex128."""
+    probs = np.empty(sv.amps.size)
+    for start in range(0, probs.size, TILE):
+        np.abs(sv.amps[start:start + TILE].astype(np.complex128, copy=False), out=probs[start:start + TILE])
+    return OutputDistribution(sv.num_qubits, np.square(probs, out=probs))

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from qcsim import harness
+from qcsim import statevector as sv_backend
 from qcsim.circuit import Circuit
 from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.tensornet import PathfinderConfig, build_network, find_path, step_footprint
@@ -156,3 +158,19 @@ def test_bench_simulate_rows_carry_the_pathfinder_seed(backend):
     c = generate(GeneratorSpec(Family.QFT, 4))
     _, records = harness.bench_simulate(c, backend, cfg=cfg, warmup=0, reps=2)
     assert [r["seed"] for r in records] == [cfg.seed, cfg.seed]
+
+
+def test_timed_holds_one_result_at_a_time():
+    # A single run already peaks above its state (the scratch and numpy's
+    # buffers); a second rep may add little to that, not a second state.
+    c = generate(GeneratorSpec(Family.QFT, 14))
+    state_bytes = 16 << 14
+    peaks = []
+    for reps in (1, 2):
+        tracemalloc.start()
+        try:
+            harness.timed(lambda: sv_backend.run(c, "double"), 0, reps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 0.3 * state_bytes

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 import math
@@ -674,3 +675,91 @@ def test_run_pins_blas_to_one_thread_and_restores_the_callers_count(monkeypatch,
         apply_gate(init_zero(8), bad)
     assert fake.threads == caller_threads
     assert fake.history == ([] if caller_threads == 1 else [1, caller_threads] * 3)
+
+
+# -- the planner's exactness ------------------------------------------------
+
+# sha256 of ``plan``'s passes by ``tools/plan_digest.py``'s ``sv`` rule over
+# every family, n 2-10, seeds 0 and 1, single and double precision.  A change
+# that moves any pass must update it on purpose.  The passes' bytes come from
+# the host's BLAS (the blocks' folds run through it), so it pins one build.
+PLAN_SHA256 = "74ae94879b37a946cfe59d22e27f5aa811fc36c64b8cbc6349948791d2fcba86"
+
+
+def _hash_passes(digest, passes) -> None:
+    for kind, *args in passes:
+        digest.update(kind.encode())
+        for arg in args:
+            if isinstance(arg, np.ndarray):
+                digest.update(np.ascontiguousarray(arg).tobytes())
+            elif isinstance(arg, float):
+                digest.update(np.float64(arg).tobytes())
+            else:
+                digest.update(repr(arg).encode())
+
+
+def test_plans_keep_their_committed_bytes():
+    digest = hashlib.sha256()
+    for family in Family:
+        for n in range(2, 11):
+            for seed in (0, 1):
+                c = generate(GeneratorSpec(family, n, seed=seed))
+                for precision in ("single", "double"):
+                    _hash_passes(digest, plan(c, precision))
+    assert digest.hexdigest() == PLAN_SHA256
+
+
+def test_planning_twice_gives_the_same_bytes():
+    c = generate(GeneratorSpec(Family.QAOA, 12))
+    first, second = hashlib.sha256(), hashlib.sha256()
+    _hash_passes(first, plan(c))
+    _hash_passes(second, plan(c))
+    assert first.hexdigest() == second.hexdigest()
+
+
+@pytest.mark.parametrize("kind", [k for k in _UNITARY_KINDS if k.arity == 1])
+def test_item_on_a_pair_is_kron_with_the_identity(kind):
+    identity = np.eye(2, dtype=np.complex128)
+    for angle in ((0.0, -0.0, 0.73, math.pi, 2 * math.pi) if kind.is_parameterized else (None,)):
+        u = GateOp(kind, (3,), angle).matrix()
+        item = statevector._Item((3,), u, *statevector._classify(u))
+        assert item.on((3, 5)).tobytes() == np.kron(u, identity).tobytes()
+        assert item.on((5, 3)).tobytes() == np.kron(identity, u).tobytes()
+
+
+def test_memoized_gate_matrices_are_read_only():
+    c = generate(GeneratorSpec(Family.HAMILTONIAN, 8))
+    kernel = statevector._Kernel(c.num_qubits, np.empty(TILE, dtype=np.complex128))
+    kernel.plan(c.unitary_ops)
+    assert len(kernel.gates) < len(c.unitary_ops)
+    for u, _, _ in kernel.gates.values():
+        with pytest.raises(ValueError):
+            u[0, 0] = 0
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_seeded_block_is_the_fold_on_the_identity(dtype):
+    scratch = np.empty(TILE, dtype=dtype)
+    gates = [GateOp(GateKind.H, (0,))] + [
+        GateOp(kind, (0,), angle) for kind in (GateKind.RX, GateKind.RY)
+        for angle in (0.0, -0.0, 0.73, -2.1, math.pi, 2 * math.pi)]
+    for m in range(2, statevector.FUSED_QUBITS + 1):
+        for q in range(m):
+            for op in gates:
+                u = op.matrix().astype(dtype)
+                folded = np.eye(1 << m, dtype=dtype).ravel()
+                statevector._gemm(folded, m + q, u, scratch)
+                assert statevector._seeded(m, q, u).tobytes() == folded.tobytes()
+
+
+@pytest.mark.parametrize("precision, n", [("double", 14), ("double", 20), ("single", 20)])
+def test_distribution_holds_one_float_array(precision, n):
+    sv = init_zero(n, precision)
+    tracemalloc.start()
+    try:
+        probs = distribution(sv).probs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.dtype == np.float64 and probs[0] == 1.0 and probs.sum() == 1.0
+    assert peak <= 1.1 * probs.nbytes
