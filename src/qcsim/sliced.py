@@ -8,10 +8,13 @@ the network is sliced into a power-of-two number of sub-networks; every
 slice has the same cost, so slice ``i`` goes to worker ``i mod workers``;
 each worker runs ``tensornet.evaluate`` on its slices' assignments, which
 sums them locally, and times that; a final reduction adds the per-worker
-partials.  Per-sample pathfinder seeds depend only on (seed, sample
-index), so the winning plan is identical for every worker count and to
-``find_path``'s without a pool.  A network with fewer sliceable labels
-than asked yields fewer slices, and only workers that get one take part.
+partials.  Within a worker's shard the plan's slice-invariant steps run
+once and only the steps that touch a sliced label run once per
+assignment (``tensornet.contract``).  Per-sample pathfinder seeds depend
+only on (seed, sample index), so the winning plan is identical for every
+worker count and to ``find_path``'s without a pool.  A network with fewer
+sliceable labels than asked yields fewer slices, and only workers that get
+one take part.
 The slice order within a worker and the reduction order are fixed, so
 repeated runs are bit-identical.
 

@@ -18,11 +18,14 @@ plus absorption of the rank-1 tensors), ``find_path``, then ``evaluate``.
 closed network's scalar is an amplitude, and the open network's n-qubit
 output state, squared, is the full output distribution.  It runs
 ``contract``, the one plan executor, which runs sliced and unsliced plans
-alike, an unsliced plan being one slice with no label fixed.  Work over the
-one memory budget of ``statevector.check_budget`` raises ``CapacityError``
-before it allocates: ``build_network`` refuses an open network's ``2^n``
-output before it builds anything, and ``contract`` a plan's largest step
-footprint (per slice when sliced) before it contracts.
+alike, an unsliced plan being one slice with no label fixed.  It runs a
+plan's slice-invariant steps, those whose operands hold no sliced label,
+once per call, and only the steps that depend on a sliced label once per
+assignment, with values bit-identical to a full replay per slice.  Work
+over the one memory budget of ``statevector.check_budget`` raises
+``CapacityError`` before it allocates: ``build_network`` refuses an open
+network's ``2^n`` output before it builds anything, and ``contract`` a
+plan's largest step footprint (per slice when sliced) before it contracts.
 
 A plan is a full binary contraction in SSA form over the network it was
 planned on: with ``m`` the network's tensor count, ids below ``m`` are its
@@ -167,32 +170,32 @@ def absorb_small_tensors(
     rank.  Only tensors small at entry are absorbed (no cascading, which
     would collapse chain-like networks outright and leave nothing to plan).
     Positions listed in ``keep`` are never absorbed; the sweep stops early
-    rather than dropping below two tensors.
+    rather than dropping below two tensors.  A tensor's partner is the
+    lowest live position that shares one of its current labels, found
+    through a map from each label to the positions holding it; when a
+    tensor is absorbed, its labels that survive move to the partner.
     """
     tensors = list(net.tensors)
-    keep_ids = set(keep)
-    small = [
-        i
-        for i, t in enumerate(tensors)
-        if t.rank <= max_rank and i not in keep_ids
-    ]
+    owners: dict[str, list[int]] = {}
+    for i, t in enumerate(tensors):
+        for label in t.indices:
+            owners.setdefault(label, []).append(i)
+    small = [i for i, t in enumerate(tensors) if t.rank <= max_rank and i not in keep]
     alive = len(tensors)
     for i in small:
         if alive <= 2:
             break
         t = tensors[i]
-        partner = None
-        for j, other in enumerate(tensors):
-            if j == i or other is None:
-                continue
-            if any(label in other.indices for label in t.indices):
-                partner = j
-                break
+        partner = min((j for label in t.indices for j in owners[label] if j != i), default=None)
         if partner is None:
             continue
         tensors[partner] = contract_pair(t, tensors[partner])
         tensors[i] = None
         alive -= 1
+        for label in t.indices:
+            holders = owners.pop(label)
+            if label in tensors[partner].indices:
+                owners[label] = [partner if j == i else j for j in holders]
     return TensorNetwork([t for t in tensors if t is not None], net.open_indices)
 
 
@@ -395,13 +398,34 @@ def contract(net: TensorNetwork, plan: ContractionPlan, assignments=None) -> Ten
     sum equals the unsliced result; the value is plan-independent).  A plan
     that does not fit ``net`` raises ``StructuralError``, and one whose
     largest step (per slice) is over the memory budget ``CapacityError``,
-    before anything is contracted."""
+    before anything is contracted.
+
+    A leaf that holds a label some assignment fixes (every sliced label, by
+    default) is dependent, and so is a step with a dependent operand.  The
+    invariant steps run once per call, in plan order, and their results
+    that dependent steps read are held for the call; the dependent steps
+    run once per assignment, in plan order, from those results and the
+    dependent leaves' sliced views.  Every step is the same
+    ``contract_pair`` on the same operands as a full replay per assignment,
+    so the value is bit-identical to it."""
     _check_budget(net, plan)
+    assignments = list(slice_assignments(plan) if assignments is None else assignments)
+    sliced = frozenset().union(*assignments)
+    dependent = [not sliced.isdisjoint(t.indices) for t in net.tensors]
+    steps = list(_walk(len(net.tensors), plan.steps))
+    for i, j, _ in steps:
+        dependent.append(dependent[i] or dependent[j])
+    shared = {i: t for i, t in enumerate(net.tensors) if not dependent[i]}
+    for i, j, k in steps:
+        if not dependent[k]:
+            shared[k] = contract_pair(shared.pop(i), shared.pop(j))
     total = None
-    for assignment in slice_assignments(plan) if assignments is None else assignments:
-        buf = {i: (t.sliced(assignment) if assignment else t) for i, t in enumerate(net.tensors)}
-        for i, j, k in _walk(len(net.tensors), plan.steps):
-            buf[k] = contract_pair(buf.pop(i), buf.pop(j))
+    for assignment in assignments:
+        buf = {i: t.sliced(assignment) for i, t in enumerate(net.tensors) if dependent[i]}
+        buf.update(shared)
+        for i, j, k in steps:
+            if dependent[k]:
+                buf[k] = contract_pair(buf.pop(i), buf.pop(j))
         (part,) = buf.values()
         total = part if total is None else Tensor(part.indices, total.data + part.data)
     return total

@@ -7,7 +7,11 @@ each other.  ``reference_metrics`` computes each topology metric in its own
 walk over the circuit, the slow form that ``metrics.compute_all``'s single
 walk must match.  ``reference_descent`` is the greedy descent that
 rebuilds its candidates at every step, which ``tensornet._greedy_descent``
-must match step for step.  The small readers of circuits, matrices and output
+must match step for step.  ``reference_contract`` replays the whole plan
+once per slice assignment, and ``reference_absorb`` finds each absorbed
+tensor's partner by scanning every tensor: the forms whose values
+``tensornet.contract`` and ``tensornet.absorb_small_tensors`` must match
+byte for byte.  The small readers of circuits, matrices and output
 distributions below (gate counts, unitarity, outcome maps, marginals) are
 what the tests need and the library does not.
 """
@@ -25,6 +29,7 @@ from qcsim.errors import ConfigError
 from qcsim.gates import GateKind
 from qcsim.metrics import MetricsReport
 from qcsim.statevector import OutputDistribution
+from qcsim.tensornet import Tensor, TensorNetwork, contract_pair, slice_assignments
 
 
 def gate_counts(c: Circuit) -> tuple[int, int]:
@@ -230,6 +235,43 @@ def reference_descent(
         next_id += 1
 
     return tuple(steps)
+
+
+def reference_contract(net, plan, assignments=None) -> Tensor:
+    """The sum of ``plan``'s full contraction under each assignment (default:
+    every one of ``slice_assignments(plan)``), each slice replaying every
+    step from the leaves' sliced views, summed in assignment order."""
+    total = None
+    for assignment in slice_assignments(plan) if assignments is None else assignments:
+        buf = {i: (t.sliced(assignment) if assignment else t) for i, t in enumerate(net.tensors)}
+        for k, (i, j) in enumerate(plan.steps, len(net.tensors)):
+            buf[k] = contract_pair(buf.pop(i), buf.pop(j))
+        (part,) = buf.values()
+        total = part if total is None else Tensor(part.indices, total.data + part.data)
+    return total
+
+
+def reference_absorb(net, max_rank=1, keep=frozenset()) -> TensorNetwork:
+    """``absorb_small_tensors`` by scanning every tensor for each absorbed
+    tensor's partner, the lowest live position sharing one of its labels."""
+    tensors = list(net.tensors)
+    small = [i for i, t in enumerate(tensors) if t.rank <= max_rank and i not in keep]
+    alive = len(tensors)
+    for i in small:
+        if alive <= 2:
+            break
+        t = tensors[i]
+        partner = None
+        for j, other in enumerate(tensors):
+            if j != i and other is not None and any(l in other.indices for l in t.indices):
+                partner = j
+                break
+        if partner is None:
+            continue
+        tensors[partner] = contract_pair(t, tensors[partner])
+        tensors[i] = None
+        alive -= 1
+    return TensorNetwork([t for t in tensors if t is not None], net.open_indices)
 
 
 def _multi_ops(c: Circuit):

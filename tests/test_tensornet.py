@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -35,7 +36,9 @@ from conftest import (
     draw_gates,
     most_likely,
     outcomes,
+    reference_absorb,
     reference_choose_slices,
+    reference_contract,
     reference_descent,
 )
 
@@ -593,28 +596,132 @@ def test_plan_network_mismatch_detected(bell, malformed, monkeypatch):
         contract(net, plan)
 
 
+def _dependent_steps(net, plan) -> list[bool]:
+    """Per step, whether an operand holds a sliced label, a leaf by its
+    labels and an intermediate by its operands."""
+    sliced = set(plan.sliced_labels)
+    dependent = [bool(sliced & set(t.indices)) for t in net.tensors]
+    for i, j in plan.steps:
+        dependent.append(dependent[i] or dependent[j])
+    return dependent[len(net.tensors):]
+
+
 @pytest.mark.parametrize("target", [1, 4])
 def test_contract_frees_each_intermediate_before_the_next_step(monkeypatch, target):
+    # The invariant steps run once, then the dependent steps once per slice.
     # An intermediate consumed at step s must be dead before step s + 1
-    # runs, so the executor never holds more than a step's tensors.
+    # runs, so the executor holds no more than a step's tensors, save the
+    # invariant results that dependent steps read: those are held for the
+    # call, one copy shared by every slice.
     c = generate(GeneratorSpec(Family.QFT, 6))
     net = build_network(c, "0" * 6)
     plan = choose_slices(net, find_path(net, PathfinderConfig(num_samples=2)), target)
-    made, consumed = [], []
+    dependent = sum(_dependent_steps(net, plan))
+    invariant = len(plan.steps) - dependent
+    made, consumed, held = [], [], []
     real = tensornet.contract_pair
 
     def watched(a, b):
         assert all(ref() is None for ref in consumed), "a consumed intermediate is alive"
-        consumed.extend(ref for ref in made if ref() is a or ref() is b)
+        for x, ref in enumerate(made):
+            if ref() is a or ref() is b:
+                (held if x < invariant <= len(made) else consumed).append(ref)
         out = real(a, b)
         made.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(tensornet, "contract_pair", watched)
     contract(net, plan)
-    assert len(made) == len(plan.steps) * target
-    # Every intermediate but each slice's result is consumed once.
-    assert len(consumed) == (len(plan.steps) - 1) * target
+    assert len(made) == invariant + target * dependent
+    if target == 1:
+        assert len(made) == len(plan.steps)
+    else:
+        assert 0 < invariant and 0 < dependent
+    # Each held result is read once per slice; every other intermediate but
+    # each slice's result is consumed once.
+    shared = len({id(ref) for ref in held})
+    assert len(held) == shared * target
+    assert len(consumed) == invariant - shared + target * (dependent - 1)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_contract_matches_full_replay_per_slice(family):
+    # The executor that runs the invariant steps once gives the bytes of
+    # the one that replays every step per slice, in full and per worker's
+    # round-robin shard.
+    for n in range(4, 13):
+        c = generate(GeneratorSpec(family, n))
+        for bits in (None, "0" * n, ("01" * n)[:n]):
+            net = build_network(c, bits)
+            plan = find_path(net, PathfinderConfig(num_samples=1))
+            for target in (1, 2, 8, 16):
+                sliced = choose_slices(net, plan, target)
+                assignments = list(tensornet.slice_assignments(sliced))
+                # Each slice's part once; a shard's reference value is the
+                # sum of its parts in assignment order.
+                parts = [reference_contract(net, sliced, [a]) for a in assignments]
+                shards = dict.fromkeys([tuple(range(len(assignments)))] + [
+                    tuple(range(w, len(assignments), workers))
+                    for workers in (2, 3) for w in range(min(workers, len(assignments)))])
+                for shard in shards:
+                    got = contract(net, sliced, [assignments[x] for x in shard])
+                    want = parts[shard[0]].data
+                    for x in shard[1:]:
+                        want = want + parts[x].data
+                    assert got.indices == parts[0].indices, (n, bits, target, shard)
+                    assert got.data.tobytes() == want.tobytes(), (n, bits, target, shard)
+
+
+def test_contract_slices_every_label_an_assignment_fixes():
+    # Assignments may fix labels the plan does not slice; those are
+    # dependent too, as in a full replay per assignment.
+    net = build_network(generate(GeneratorSpec(Family.QFT, 6)), "0" * 6)
+    plan = choose_slices(net, find_path(net, PathfinderConfig(num_samples=1)), 2)
+    label = sorted(net.all_labels() - set(plan.sliced_labels))[0]
+    assignments = [{**a, label: bit}
+                   for a in tensornet.slice_assignments(plan) for bit in (0, 1)]
+    got = contract(net, plan, assignments)
+    want = reference_contract(net, plan, assignments)
+    assert got.indices == want.indices
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_absorb_matches_reference(family):
+    # The label-to-owners map finds the partner the full scan finds.
+    for n in range(4, 13):
+        c = generate(GeneratorSpec(family, n))
+        for bits in (None, "0" * n, ("01" * n)[:n]):
+            net = circuit_to_network(c, bits)
+            closures = frozenset(range(len(net.tensors) - n, len(net.tensors))) if bits else frozenset()
+            for max_rank in (1, 2):
+                for keep in {frozenset(), closures}:
+                    got = absorb_small_tensors(net, max_rank, keep)
+                    want = reference_absorb(net, max_rank, keep)
+                    assert got.open_indices == want.open_indices
+                    assert [t.indices for t in got.tensors] == [t.indices for t in want.tensors]
+                    assert [t.data.tobytes() for t in got.tensors] == [
+                        t.data.tobytes() for t in want.tensors]
+
+
+@pytest.mark.parametrize("family, n", [
+    (Family.QFT, 14), (Family.RANDOM, 16), (Family.QPE, 16), (Family.RANDOM, 18),
+])
+def test_contract_holds_invariant_results_within_bounds(family, n):
+    # The invariant results held across 8 slices cost at most a quarter
+    # more memory at peak than replaying every step per slice.
+    net = build_network(generate(GeneratorSpec(family, n)), "0" * n)
+    plan = choose_slices(net, find_path(net, PathfinderConfig(num_samples=4)), 8)
+    peaks = []
+    for run_contract in (reference_contract, contract):
+        tracemalloc.start()
+        try:
+            run_contract(net, plan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    reference, got = peaks
+    assert got <= 1.25 * reference, (got, reference)
 
 
 # -- rank-absorption and peak behaviour -------------------------------------

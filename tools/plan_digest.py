@@ -24,6 +24,14 @@ qubits (a move's tuple, a GEMM's lowest qubit) and the bytes of every array
 and float it holds (a phase pass holds no qubits).  A change to the state-vector planner that moves any
 pass changes this line.
 
+The fourth line is a ``values`` digest: the sha256 over the bytes of
+``evaluate``'s value (a closed network's complex amplitude, an open one's
+probabilities) for every family, n from 6 to 12, open and closed (the
+all-zeros bitstring), with the plan of ``find_path(net,
+PathfinderConfig(num_samples=4))`` unsliced and sliced by ``choose_slices``
+into 8.  A change to the executor that moves any value, by so much as a
+bit, changes this line.
+
 Then, for every circuit family, n in 8/12/16/20, open and closed (the all-zeros
 bitstring), the plan is ``find_path(build_network(c, bits),
 PathfinderConfig())``; its digest is the sha256 of the ``repr`` of its
@@ -34,7 +42,7 @@ Usage::
 
     PYTHONPATH=src python tools/plan_digest.py
 
-prints the cli, circuits and sv digests, one ``family  n  open|closed  digest``
+prints the cli, circuits, sv and values digests, one ``family  n  open|closed  digest``
 line per plan, then the total.
 It is a check to run by hand, not a test: the n = 20 plans take seconds each.
 """
@@ -52,7 +60,7 @@ from qcsim.cli import main as cli_main
 from qcsim.generators import Family, GeneratorSpec, generate
 from qcsim.qasm import emit_qasm
 from qcsim.statevector import plan as sv_plan
-from qcsim.tensornet import PathfinderConfig, build_network, find_path
+from qcsim.tensornet import PathfinderConfig, build_network, choose_slices, evaluate, find_path
 
 SIZES = (8, 12, 16, 20)
 KNOB_SETS = ({}, {"p_layers": 2}, {"k": 0.25}, {"m": 1}, {"l_layers": 2}, {"t_steps": 2},
@@ -126,6 +134,21 @@ def sv_digest() -> str:
     return digest.hexdigest()
 
 
+def values_digest() -> str:
+    digest = hashlib.sha256()
+    for family in Family:
+        for n in range(6, 13):
+            c = generate(GeneratorSpec(family, n))
+            for bits in (None, "0" * n):
+                net = build_network(c, bits)
+                plan = find_path(net, PathfinderConfig(num_samples=4))
+                for slices in (1, 8):
+                    value = evaluate(net, choose_slices(net, plan, slices))
+                    data = value.probs if bits is None else np.complex128(value)
+                    digest.update(data.tobytes())
+    return digest.hexdigest()
+
+
 def plan_digest(family: Family, n: int, closed: bool) -> str:
     c = generate(GeneratorSpec(family, n))
     plan = find_path(build_network(c, "0" * n if closed else None), PathfinderConfig())
@@ -137,6 +160,7 @@ def main() -> int:
     print(f"cli  {cli_digest()}", flush=True)
     print(f"circuits  {circuits_digest()}", flush=True)
     print(f"sv  {sv_digest()}", flush=True)
+    print(f"values  {values_digest()}", flush=True)
     total = hashlib.sha256()
     for family in Family:
         for n in SIZES:
