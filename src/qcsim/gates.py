@@ -92,16 +92,27 @@ def matrix_of(kind: GateKind, angle: float | None = None) -> np.ndarray:
         return _FIXED_MATRICES[kind].copy()
 
     t = float(angle)
-    c, s = np.cos(t / 2.0), np.sin(t / 2.0)
-    if kind is GateKind.RX:
-        return _fixed([[c, -1j * s], [-1j * s, c]])
-    if kind is GateKind.RY:
-        return _fixed([[c, -s], [s, c]])
+    if kind is GateKind.RX or kind is GateKind.RY:
+        c, s = np.cos(t / 2.0), np.sin(t / 2.0)
+        m = np.empty((2, 2), dtype=np.complex128)
+        m[0, 0] = m[1, 1] = c
+        if kind is GateKind.RX:
+            m[0, 1] = m[1, 0] = -1j * s
+        else:
+            m[0, 1], m[1, 0] = -s, s
+        return m
     if kind is GateKind.RZ:
-        return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]).astype(np.complex128)
+        m = np.zeros((2, 2), dtype=np.complex128)
+        m[0, 0], m[1, 1] = np.exp(-0.5j * t), np.exp(0.5j * t)
+        return m
     if kind is GateKind.RZZ:
-        e_m, e_p = np.exp(-0.5j * t), np.exp(0.5j * t)
-        return np.diag([e_m, e_p, e_p, e_m]).astype(np.complex128)
+        m = np.zeros((4, 4), dtype=np.complex128)
+        m[0, 0] = m[3, 3] = np.exp(-0.5j * t)
+        m[1, 1] = m[2, 2] = np.exp(0.5j * t)
+        return m
     if kind is GateKind.CP:
-        return np.diag([1.0, 1.0, 1.0, np.exp(1j * t)]).astype(np.complex128)
+        m = np.zeros((4, 4), dtype=np.complex128)
+        m[0, 0] = m[1, 1] = m[2, 2] = 1.0
+        m[3, 3] = np.exp(1j * t)
+        return m
     raise NoMatrixError(f"no matrix known for {kind}")  # pragma: no cover

@@ -39,9 +39,10 @@ both operands plus that output.
 
 Pathfinding runs ``num_samples`` independent randomized-greedy descents and
 keeps the plan with the lowest estimated FLOP count; estimated peak size is
-reported but not optimized.  A descent keeps its candidate pairs across
-steps, updating them on each merge, and draws one vector of Gumbel
-variates per step.  The descents may run as an executor's tasks
+reported but not optimized.  A descent keeps its candidate pairs sorted
+across steps, deleting and inserting pairs at bisected positions on each
+merge so that no step sorts, and draws one vector of Gumbel variates per
+step.  The descents may run as an executor's tasks
 (a worker pool); each is seeded by its sample index alone, so the plan is
 the same wherever they run.  Slicing fixes chosen index values, splitting
 one contraction into independent sub-contractions whose results sum to the
@@ -49,6 +50,7 @@ original.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -300,12 +302,14 @@ def _greedy_descent(
     smallest-ids tie-break).  Outer products are taken only when no pair
     shares an index, on the two smallest tensors.
 
-    The candidates are kept across steps: ``owners`` maps each live label
-    to the tensors that hold it and ``width`` each candidate ``(i, j)``,
-    ``i < j``, to ``len(S_i | S_j)``; a merge drops the pairs of its two
-    operands and adds the new tensor's.  Each step draws one vector of
-    Gumbel variates over the candidates in sorted order, the same numbers
-    as one draw per candidate, so the steps depend only on ``sets`` and
+    The candidates stay sorted across steps: ``owners`` maps each live
+    label to the tensors that hold it, ``cands`` lists each candidate
+    ``(i, j)``, ``i < j``, once and in sorted order, and ``widths`` holds
+    its ``len(S_i | S_j)`` at the same position.  A merge deletes the pairs
+    of its two operands and inserts each of the new tensor's, all at
+    bisected positions, so no step sorts.  Each step draws one vector of
+    Gumbel variates over the candidates in that order, the same numbers as
+    one draw per candidate, so the steps depend only on ``sets`` and
     ``rng``.
     """
     active: dict[int, frozenset[str]] = dict(enumerate(sets))
@@ -313,34 +317,44 @@ def _greedy_descent(
     for i, s in active.items():
         for label in s:
             owners.setdefault(label, []).append(i)
-    width = {(ids[0], ids[1]): len(sets[ids[0]] | sets[ids[1]])
-             for ids in owners.values() if len(ids) == 2}
+    # Two tensors that share two labels are one candidate.
+    cands = sorted({(ids[0], ids[1]) for ids in owners.values() if len(ids) == 2})
+    widths = [len(sets[i] | sets[j]) for i, j in cands]
     steps: list[tuple[int, int]] = []
 
     for k in range(len(sets), 2 * len(sets) - 1):
-        if not width:
+        if not cands:
             first, second = sorted(active, key=lambda i: (len(active[i]), i))[:2]
             pair = (min(first, second), max(first, second))
         else:
-            cands = sorted(width)
-            keys = np.fromiter(map(width.__getitem__, cands), float, len(cands))
+            keys = np.array(widths, dtype=float)
             if rng is not None:
                 keys += rng.gumbel(size=len(cands))
-            pair = cands[int(np.argmin(keys))]
+            at = int(keys.argmin())
+            pair = cands[at]
+            del cands[at], widths[at]
         i, j = pair
         a, b = active.pop(i), active.pop(j)
         active[k] = out = a ^ b
-        width.pop(pair, None)
-        for label in a | b:
-            rest = [x for x in owners.pop(label) if x != i and x != j]
-            for x in rest:
-                width.pop((min(x, i), max(x, i)), None)
-                width.pop((min(x, j), max(x, j)), None)
-            if label in out:
-                owners[label] = rest + [k]
+        for label in a & b:
+            del owners[label]
+        # Each label of ``out`` moves from its operand to ``k``; a tensor
+        # still holding it is a neighbour of that operand.
+        edges: set[tuple[int, int]] = set()
         for label in out:
-            for x in owners[label][:-1]:
-                width[(x, k)] = len(active[x] | out)
+            holders = owners[label]
+            old = i if label in a else j
+            holders.remove(old)
+            if holders:
+                edges.add((holders[0], old))
+            holders.append(k)
+        for x, old in edges:
+            at = bisect.bisect_left(cands, (min(x, old), max(x, old)))
+            del cands[at], widths[at]
+        for x in {x for x, _ in edges}:
+            at = bisect.bisect_left(cands, (x, k))
+            cands.insert(at, (x, k))
+            widths.insert(at, len(active[x] | out))
         steps.append(pair)
 
     return tuple(steps)

@@ -6,14 +6,16 @@ strided block updates and the TN backend's contractions, so they can check
 each other.  ``reference_metrics`` computes each topology metric in its own
 walk over the circuit, the slow form that ``metrics.compute_all``'s single
 walk must match.  ``reference_descent`` is the greedy descent that
-rebuilds its candidates at every step, which ``tensornet._greedy_descent``
-must match step for step.  ``reference_contract`` replays the whole plan
-once per slice assignment, and ``reference_absorb`` finds each absorbed
-tensor's partner by scanning every tensor: the forms whose values
-``tensornet.contract`` and ``tensornet.absorb_small_tensors`` must match
-byte for byte.  The small readers of circuits, matrices and output
-distributions below (gate counts, unitarity, outcome maps, marginals) are
-what the tests need and the library does not.
+rebuilds and sorts its candidates at every step, which
+``tensornet._greedy_descent`` must match step for step and draw for draw.
+``reference_contract`` replays the whole plan once per slice assignment,
+``reference_absorb`` finds each absorbed tensor's partner by scanning every
+tensor, and ``reference_matrix_of`` builds each parameterized gate from
+nested lists and ``np.diag``: the forms whose values
+``tensornet.contract``, ``tensornet.absorb_small_tensors`` and
+``gates.matrix_of`` must match byte for byte.  The small readers of
+circuits, matrices and output distributions below (gate counts, unitarity,
+outcome maps, marginals) are what the tests need and the library does not.
 """
 from __future__ import annotations
 
@@ -197,9 +199,10 @@ def reference_descent(
     sets: list[frozenset[str]], rng: np.random.Generator | None
 ) -> tuple[tuple[int, int], ...]:
     """One randomized-greedy bottom-up contraction order, rebuilding its
-    label map and candidate set at every step with one scalar Gumbel draw
-    per candidate: the quadratic form that ``tensornet._greedy_descent``'s
-    kept candidates must match step for step.
+    label map and candidate set at every step, sorting the candidates and
+    making one scalar Gumbel draw per candidate: the quadratic form that
+    ``tensornet._greedy_descent``'s kept, sorted candidates must match step
+    for step, leaving ``rng`` in the same state.
 
     Candidates are pairs sharing an index; the key is log2 of the step cost
     plus a Gumbel draw from ``rng`` (``None`` = pure greedy, deterministic
@@ -235,6 +238,25 @@ def reference_descent(
         next_id += 1
 
     return tuple(steps)
+
+
+def reference_matrix_of(kind: GateKind, angle: float) -> np.ndarray:
+    """The unitary of a parameterized ``kind`` built from nested lists and
+    ``np.diag(...).astype``."""
+    t = float(angle)
+    c, s = np.cos(t / 2.0), np.sin(t / 2.0)
+    if kind is GateKind.RX:
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    if kind is GateKind.RY:
+        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    if kind is GateKind.RZ:
+        return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]).astype(np.complex128)
+    if kind is GateKind.RZZ:
+        e_m, e_p = np.exp(-0.5j * t), np.exp(0.5j * t)
+        return np.diag([e_m, e_p, e_p, e_m]).astype(np.complex128)
+    if kind is GateKind.CP:
+        return np.diag([1.0, 1.0, 1.0, np.exp(1j * t)]).astype(np.complex128)
+    raise ValueError(f"{kind} is not parameterized")
 
 
 def reference_contract(net, plan, assignments=None) -> Tensor:

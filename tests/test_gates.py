@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from qcsim.errors import GateParameterError, NoMatrixError
 from qcsim.gates import GateKind, matrix_of
 
-from conftest import is_unitary
+from conftest import is_unitary, reference_matrix_of
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -92,3 +92,20 @@ def test_unitarity_over_dense_angle_sweep():
     for kind in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.RZZ, GateKind.CP):
         for t in angles:
             assert is_unitary(matrix_of(kind, float(t)), tol=1e-12)
+
+
+_EDGE_ANGLES = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, math.pi, -math.pi, 5e-324)
+
+
+@pytest.mark.parametrize("kind", [k for k in GateKind if k.is_parameterized])
+def test_parameterized_matrices_keep_their_bytes(kind):
+    """Entry-set matrices equal the nested-list and ``np.diag`` form, byte for
+    byte, signed zeros and nan included."""
+    rng = np.random.default_rng(1)
+    angles = [*_EDGE_ANGLES, *rng.uniform(-4 * math.pi, 4 * math.pi, 500),
+              *rng.normal(0.0, 1e-9, 50), *(10.0 ** rng.uniform(-300, 300, 50))]
+    for t in angles:
+        with np.errstate(invalid="ignore"):
+            got, want = matrix_of(kind, float(t)), reference_matrix_of(kind, float(t))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), t

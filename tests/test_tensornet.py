@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -227,6 +228,29 @@ def test_greedy_descent_matches_reference(family):
             sets = tensornet._index_sets(build_network(c, bits))
             for sample in range(4):
                 _assert_descent_matches_reference(sets, 0, sample)
+
+
+@pytest.mark.parametrize("family, n, bits", [
+    (Family.QFT, 14, "0" * 14), (Family.RANDOM, 16, "0" * 16),
+    (Family.QPE, 16, "0" * 16), (Family.QAOA, 16, None),
+], ids=["qft-14-closed", "random-16-closed", "qpe-16-closed", "qaoa-16-open"])
+def test_greedy_descent_matches_reference_on_benchmark_networks(family, n, bits):
+    sets = tensornet._index_sets(build_network(generate(GeneratorSpec(family, n)), bits))
+    for sample in range(4):
+        _assert_descent_matches_reference(sets, 0, sample)
+
+
+@pytest.mark.parametrize("bits", [None, "000", "101"])
+def test_greedy_descent_counts_a_pair_sharing_two_labels_once(bits):
+    """CNOT then CZ on one pair leaves two tensors that share two labels:
+    one candidate, both among the first and among the merged tensors."""
+    c = Circuit(3).h(0).cnot(0, 1).cz(0, 1).h(2).cnot(1, 2).cz(2, 1).rx(1, 0.4)
+    for net in (circuit_to_network(c, bits), build_network(c, bits)):
+        sets = tensornet._index_sets(net)
+        assert any(len(a & b) == 2 for a, b in itertools.combinations(sets, 2))
+        for seed in (0, 7):
+            for sample in range(4):
+                _assert_descent_matches_reference(sets, seed, sample)
 
 
 @st.composite
