@@ -8,9 +8,11 @@ the network is sliced into a power-of-two number of sub-networks; every
 slice has the same cost, so slice ``i`` goes to worker ``i mod workers``;
 each worker runs ``tensornet.evaluate`` on its slices' assignments, which
 sums them locally, and times that; a final reduction adds the per-worker
-partials.  Within a worker's shard the plan's slice-invariant steps run
-once and only the steps that touch a sliced label run once per
-assignment (``tensornet.contract``).  Per-sample pathfinder seeds depend
+partials.  Each worker compiles the plan once for its shard and runs it
+on bare arrays; the plan's slice-invariant steps run once and only the
+steps that touch a sliced label run once per assignment
+(``tensornet.contract``).  ``choose_slices`` prices the plan in one walk
+and updates only what each pick touches.  Per-sample pathfinder seeds depend
 only on (seed, sample index), so the winning plan is identical for every
 worker count and to ``find_path``'s without a pool.  A network with fewer
 sliceable labels than asked yields fewer slices, and only workers that get

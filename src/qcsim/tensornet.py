@@ -16,16 +16,21 @@ Every entry point runs the same pipeline: ``build_network`` (conversion
 plus absorption of the rank-1 tensors), ``find_path``, then ``evaluate``.
 ``evaluate`` is the one place where a contraction becomes a value: the
 closed network's scalar is an amplitude, and the open network's n-qubit
-output state, squared, is the full output distribution.  It runs
-``contract``, the one plan executor, which runs sliced and unsliced plans
-alike, an unsliced plan being one slice with no label fixed.  It runs a
-plan's slice-invariant steps, those whose operands hold no sliced label,
-once per call, and only the steps that depend on a sliced label once per
-assignment, with values bit-identical to a full replay per slice.  Work
-over the one memory budget of ``statevector.check_budget`` raises
-``CapacityError`` before it allocates: ``build_network`` refuses an open
-network's ``2^n`` output before it builds anything, and ``contract`` a
-plan's largest step footprint (per slice when sliced) before it contracts.
+output state, squared into one float64 array, is the full output
+distribution.  It runs ``contract``, the one plan executor, which runs
+sliced and unsliced plans alike, an unsliced plan being one slice with no
+label fixed.  ``contract`` compiles the plan once per call, in the one
+walk that checks it, into ``np.tensordot``'s own arguments for every step,
+and runs the steps on bare arrays (``_step``).  It runs a plan's
+slice-invariant steps, those whose operands hold no fixed label, once per
+call, and only the steps that depend on a fixed label once per
+assignment, with values bit-identical to a full replay per slice with
+``contract_pair``.  Work over the one memory budget of
+``statevector.check_budget`` raises ``CapacityError`` before it
+allocates: ``build_network`` refuses an open network's ``2^n`` output
+before it builds anything, and ``contract`` the largest step its compile
+walk finds, with the labels its assignments fix taken out, before any
+step runs.
 
 A plan is a full binary contraction in SSA form over the network it was
 planned on: with ``m`` the network's tensor count, ids below ``m`` are its
@@ -46,7 +51,8 @@ step.  The descents may run as an executor's tasks
 (a worker pool); each is seeded by its sample index alone, so the plan is
 the same wherever they run.  Slicing fixes chosen index values, splitting
 one contraction into independent sub-contractions whose results sum to the
-original.
+original; ``choose_slices`` picks the labels greedily from one pricing walk
+of the plan, updating only what each pick touches.
 """
 from __future__ import annotations
 
@@ -84,12 +90,6 @@ class Tensor:
     @property
     def rank(self) -> int:
         return len(self.indices)
-
-    def sliced(self, assignment: dict[str, int]) -> "Tensor":
-        """Fix the labels present in ``assignment`` to their bit values, as
-        a view of ``data``."""
-        data = self.data[tuple(assignment.get(l, slice(None)) for l in self.indices)]
-        return Tensor(tuple(l for l in self.indices if l not in assignment), data)
 
 
 @dataclass(frozen=True)
@@ -244,12 +244,18 @@ class PathfinderConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
+def _check_closed(net: TensorNetwork, labels: frozenset[str]) -> None:
+    """Raise ``StructuralError`` unless every one of ``labels`` (labels to
+    slice or fix) is a closed label of ``net``."""
+    bad = labels - (net.all_labels() - set(net.open_indices)) if labels else ()
+    if bad:
+        raise StructuralError(f"sliced labels {sorted(bad)} are not closed labels of the network")
+
+
 def _index_sets(net: TensorNetwork, drop: frozenset[str] = frozenset()) -> list[frozenset[str]]:
     """Each tensor's labels less ``drop``, the sliced labels, which must be
     closed labels of ``net``, else ``StructuralError``."""
-    bad = drop - (net.all_labels() - set(net.open_indices)) if drop else ()
-    if bad:
-        raise StructuralError(f"sliced labels {sorted(bad)} are not closed labels of the network")
+    _check_closed(net, drop)
     return [frozenset(t.indices) - drop for t in net.tensors]
 
 
@@ -400,49 +406,106 @@ def step_footprint(net: TensorNetwork, plan: ContractionPlan) -> int:
 
 
 def _check_budget(net: TensorNetwork, plan: ContractionPlan) -> None:
-    """Refuse a plan whose ``step_footprint`` is over the budget; every
-    contraction entry point calls this before it allocates.  A plan that
-    does not fit ``net`` raises ``StructuralError``."""
+    """Refuse a plan whose ``step_footprint`` is over the budget, as
+    ``run_sliced`` does before it dispatches any slice.  A plan that does
+    not fit ``net`` raises ``StructuralError``."""
     check_budget(step_footprint(net, plan), "the plan's largest contraction step")
+
+
+def _compile(net: TensorNetwork, steps, fixed: frozenset[str]):
+    """Compile ``steps`` over ``net`` with the labels ``fixed`` taken out
+    of every tensor, in one ``_walk``.
+
+    Returns ``(program, labels, dependent, footprint)``.  ``program`` holds
+    one ``(i, j, k, args)`` per step, with ``args`` the arguments of
+    ``_step``: the ``newaxes`` and ``newshape`` that ``np.tensordot``
+    computes for each operand, summing over the labels the operands share
+    in ``i``'s order, and the output shape, ``i``'s other labels then
+    ``j``'s.  ``labels[x]`` is id ``x``'s ordered labels and
+    ``dependent[x]`` whether it holds a fixed label, a leaf by its labels
+    and a step by its operands.  ``footprint`` is the elements the largest
+    step holds at once, its operands and its output (``_cost``'s step
+    over these index sets)."""
+    labels = [tuple(l for l in t.indices if l not in fixed) for t in net.tensors]
+    dependent = [not fixed.isdisjoint(t.indices) for t in net.tensors]
+    footprint = max((1 << len(x) for x in labels), default=1)
+    program = []
+    for i, j, k in _walk(len(labels), steps):
+        a, b = labels[i], labels[j]
+        axes_a, rest_a, axes_b = [], [], []
+        for x, l in enumerate(a):
+            if l in b:
+                axes_a.append(x)
+                axes_b.append(b.index(l))
+            else:
+                rest_a.append(x)
+        rest_b = [x for x, l in enumerate(b) if l not in a]
+        out = tuple([a[x] for x in rest_a] + [b[x] for x in rest_b])
+        d = 1 << len(axes_a)
+        program.append((i, j, k, (
+            rest_a + axes_a, (1 << len(rest_a), d),
+            axes_b + rest_b, (d, 1 << len(rest_b)),
+            (2,) * len(out),
+        )))
+        labels.append(out)
+        dependent.append(dependent[i] or dependent[j])
+        footprint = max(footprint, (1 << len(a)) + (1 << len(b)) + (1 << len(out)))
+    return program, labels, dependent, footprint
+
+
+def _step(x: np.ndarray, y: np.ndarray, pa, sa, pb, sb, so) -> np.ndarray:
+    """One compiled step on bare arrays: ``np.tensordot``'s transposes,
+    reshapes and ``np.dot``, in its order, so its bytes are
+    ``contract_pair``'s."""
+    return np.dot(x.transpose(pa).reshape(sa), y.transpose(pb).reshape(sb)).reshape(so)
 
 
 def contract(net: TensorNetwork, plan: ContractionPlan, assignments=None) -> Tensor:
     """Execute ``plan``: the sum of its contractions under each of
     ``assignments`` (default: every one of ``slice_assignments(plan)``, whose
-    sum equals the unsliced result; the value is plan-independent).  A plan
-    that does not fit ``net`` raises ``StructuralError``, and one whose
-    largest step (per slice) is over the memory budget ``CapacityError``,
-    before anything is contracted.
+    sum equals the unsliced result; the value is plan-independent).  Every
+    assignment must fix the same labels, else ``ConfigError`` (also when
+    none is given), and those must be closed labels of ``net``, else
+    ``StructuralError``.  A plan that does not fit ``net`` raises
+    ``StructuralError``, and one whose largest step, with the fixed labels
+    taken out, is over the memory budget ``CapacityError``, before any step
+    runs.  For the default assignments that step is ``step_footprint``'s;
+    under the one empty assignment it is the unsliced plan's.
 
-    A leaf that holds a label some assignment fixes (every sliced label, by
-    default) is dependent, and so is a step with a dependent operand.  The
-    invariant steps run once per call, in plan order, and their results
-    that dependent steps read are held for the call; the dependent steps
-    run once per assignment, in plan order, from those results and the
-    dependent leaves' sliced views.  Every step is the same
-    ``contract_pair`` on the same operands as a full replay per assignment,
-    so the value is bit-identical to it."""
-    _check_budget(net, plan)
+    The plan is compiled once per call (``_compile``) and runs on bare
+    arrays through ``_step``.  A leaf that holds a fixed label is
+    dependent, and so is a step with a dependent operand.  The invariant
+    steps run once per call, in plan order, and their results that
+    dependent steps read are held for the call; the dependent steps run
+    once per assignment, in plan order, from those results and the
+    dependent leaves' sliced views.  Every step makes ``np.tensordot``'s
+    operations on the operands of a full replay per assignment, so the
+    value is bit-identical to one made with ``contract_pair``."""
     assignments = list(slice_assignments(plan) if assignments is None else assignments)
-    sliced = frozenset().union(*assignments)
-    dependent = [not sliced.isdisjoint(t.indices) for t in net.tensors]
-    steps = list(_walk(len(net.tensors), plan.steps))
-    for i, j, _ in steps:
-        dependent.append(dependent[i] or dependent[j])
-    shared = {i: t for i, t in enumerate(net.tensors) if not dependent[i]}
-    for i, j, k in steps:
+    if not assignments:
+        raise ConfigError("contract needs at least one assignment")
+    fixed = frozenset(assignments[0])
+    if any(a.keys() != fixed for a in assignments):
+        raise ConfigError("every assignment must fix the same labels")
+    _check_closed(net, fixed | frozenset(plan.sliced_labels))
+    program, labels, dependent, footprint = _compile(net, plan.steps, fixed)
+    check_budget(footprint, "the plan's largest contraction step")
+    held = {i: t.data for i, t in enumerate(net.tensors) if not dependent[i]}
+    for i, j, k, args in program:
         if not dependent[k]:
-            shared[k] = contract_pair(shared.pop(i), shared.pop(j))
+            held[k] = _step(held.pop(i), held.pop(j), *args)
+    leaves = [(i, t) for i, t in enumerate(net.tensors) if dependent[i]]
+    program = [step for step in program if dependent[step[2]]]
     total = None
     for assignment in assignments:
-        buf = {i: t.sliced(assignment) for i, t in enumerate(net.tensors) if dependent[i]}
-        buf.update(shared)
-        for i, j, k in steps:
-            if dependent[k]:
-                buf[k] = contract_pair(buf.pop(i), buf.pop(j))
+        buf = dict(held)
+        for i, t in leaves:
+            buf[i] = t.data[(*(assignment.get(l, slice(None)) for l in t.indices), ...)]
+        for i, j, k, args in program:
+            buf[k] = _step(buf.pop(i), buf.pop(j), *args)
         (part,) = buf.values()
-        total = part if total is None else Tensor(part.indices, total.data + part.data)
-    return total
+        total = part if total is None else total + part
+    return Tensor(labels[-1], total)
 
 
 def slice_assignments(plan: ContractionPlan):
@@ -459,10 +522,15 @@ def choose_slices(
     """Pick log2(target_slices) labels to slice, greedily minimizing the
     peak intermediate size (ties: larger FLOP reduction, then label order).
 
-    Each pick prices the plan once with ``_cost`` and scores every
-    candidate label ``L`` from the replayed index sets: slicing ``L`` halves
-    each step whose index union holds ``L``, and takes one index off the
-    peak only when ``L`` is in every tensor of the top size.
+    The plan is priced in one walk, which keeps every tensor's index set,
+    every step's index union and its width, the FLOPs, and per label the
+    steps and tensors holding it and ``saved``, the FLOPs slicing it
+    saves: slicing ``L`` halves each step whose union holds ``L``, and
+    takes one index off the peak only when ``L`` is in every tensor of the
+    top size.  When some candidate is in every such tensor, only those are
+    scored.  A pick updates only the steps and tensors holding the picked
+    label: their sets, widths, the FLOPs and the ``saved`` of the labels
+    they hold.
     """
     if target_slices < 1 or target_slices & (target_slices - 1):
         raise ConfigError(f"target_slices must be a power of two >= 1, got {target_slices}")
@@ -471,33 +539,51 @@ def choose_slices(
     chosen: list[str] = list(plan.sliced_labels)
     warning = wanted > len(candidates)
 
+    sets = [set(s) for s in _index_sets(net, frozenset(chosen))]
+    unions = []
+    for i, j, _ in _walk(len(sets), plan.steps):
+        unions.append(sets[i] | sets[j])
+        sets.append(sets[i] ^ sets[j])
+    widths = [len(u) for u in unions]
+    sizes = [len(s) for s in sets]
+    flops = sum(1 << w for w in widths)
+    saved: Counter[str] = Counter()
+    steps_of: dict[str, list[int]] = {}
+    ids_of: dict[str, list[int]] = {}
+    for x, u in enumerate(unions):
+        half = (1 << widths[x]) >> 1
+        for label in u:
+            saved[label] += half
+            steps_of.setdefault(label, []).append(x)
+    for x, s in enumerate(sets):
+        for label in s:
+            ids_of.setdefault(label, []).append(x)
+
     for _ in range(min(wanted, len(candidates))):
-        sets = _index_sets(net, frozenset(chosen))
-        flops, _, _ = _cost(plan.steps, sets)
-        saved: dict[str, int] = {}
-        for i, j in plan.steps:
-            union = sets[i] | sets[j]
-            half = (1 << len(union)) // 2
-            for label in union:
-                saved[label] = saved.get(label, 0) + half
-        top = max(len(s) for s in sets)
-        in_every_top = frozenset.intersection(*(s for s in sets if len(s) == top))
-
-        def key(label: str) -> tuple[int, int, str]:
-            peak = 1 << (top - (label in in_every_top))
-            return peak, max(flops - saved.get(label, 0), 1), label
-
-        best = min(candidates, key=key)
+        top = max(sizes)
+        in_every_top = set.intersection(*(sets[x] for x, n in enumerate(sizes) if n == top))
+        best = min([l for l in candidates if l in in_every_top] or candidates,
+                   key=lambda l: (max(flops - saved[l], 1), l))
         chosen.append(best)
         candidates.remove(best)
+        for x in steps_of.get(best, ()):
+            unions[x].discard(best)
+            widths[x] -= 1
+            w = widths[x]
+            flops -= 1 << w
+            drop = (1 << w) - ((1 << w) >> 1)
+            for label in unions[x]:
+                saved[label] -= drop
+        for x in ids_of.get(best, ()):
+            sets[x].discard(best)
+            sizes[x] -= 1
 
-    flops, peak, _ = _cost(plan.steps, _index_sets(net, frozenset(chosen)))
     return replace(
         plan,
         sliced_labels=tuple(sorted(chosen)),
         slice_warning=warning,
-        est_flops=flops << len(chosen),
-        est_peak_elements=peak,
+        est_flops=max(flops, 1) << len(chosen),
+        est_peak_elements=1 << max(sizes),
     )
 
 
@@ -532,8 +618,10 @@ def evaluate(net: TensorNetwork, plan: ContractionPlan,
     if not net.open_indices:
         return complex(result.data.reshape(()))
     axes = [result.indices.index(label) for label in reversed(net.open_indices)]
-    amps = np.transpose(result.data, axes).ravel()
-    return OutputDistribution(len(net.open_indices), np.abs(amps) ** 2)
+    view = result.data.transpose(axes)
+    probs = np.empty(view.shape)
+    np.abs(view, out=probs)
+    return OutputDistribution(len(net.open_indices), np.square(probs, out=probs).reshape(-1))
 
 
 def amplitude(

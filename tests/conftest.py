@@ -259,13 +259,20 @@ def reference_matrix_of(kind: GateKind, angle: float) -> np.ndarray:
     raise ValueError(f"{kind} is not parameterized")
 
 
+def _sliced(t: Tensor, assignment) -> Tensor:
+    """``t`` with the labels present in ``assignment`` fixed to their bit
+    values, as a view of its data."""
+    data = t.data[tuple(assignment.get(l, slice(None)) for l in t.indices)]
+    return Tensor(tuple(l for l in t.indices if l not in assignment), data)
+
+
 def reference_contract(net, plan, assignments=None) -> Tensor:
     """The sum of ``plan``'s full contraction under each assignment (default:
     every one of ``slice_assignments(plan)``), each slice replaying every
     step from the leaves' sliced views, summed in assignment order."""
     total = None
     for assignment in slice_assignments(plan) if assignments is None else assignments:
-        buf = {i: (t.sliced(assignment) if assignment else t) for i, t in enumerate(net.tensors)}
+        buf = {i: (_sliced(t, assignment) if assignment else t) for i, t in enumerate(net.tensors)}
         for k, (i, j) in enumerate(plan.steps, len(net.tensors)):
             buf[k] = contract_pair(buf.pop(i), buf.pop(j))
         (part,) = buf.values()

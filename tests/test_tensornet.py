@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -417,16 +416,13 @@ def test_reconstruct_matches_statevector_with_idle_qubits(c):
 
 
 def _forbid_contraction(monkeypatch, message):
-    """Make ``contract`` fail at its first pairwise step; ``build_network``
+    """Make ``contract`` fail at its first compiled step; ``build_network``
     still absorbs through ``contract_pair`` as usual."""
-    real = tensornet.contract_pair
 
-    def guarded(a, b):
-        if sys._getframe(1).f_code is tensornet.contract.__code__:
-            raise AssertionError(message)
-        return real(a, b)
+    def guarded(*args):
+        raise AssertionError(message)
 
-    monkeypatch.setattr(tensornet, "contract_pair", guarded)
+    monkeypatch.setattr(tensornet, "_step", guarded)
 
 
 def test_distribution_from_plan_refuses_peak_over_budget(monkeypatch):
@@ -468,6 +464,35 @@ def test_amplitude_refuses_peak_over_budget(monkeypatch):
     with pytest.raises(CapacityError) as info:
         contract(net, sliced)
     assert info.value.required_bytes == 3072 * 16
+
+
+def test_contract_prices_the_labels_its_assignments_fix(monkeypatch):
+    # A sliced plan run under the one empty assignment contracts the whole
+    # network, so it is priced unsliced: qft-10's largest step holds 3072
+    # elements per slice over 2 slices, 5120 unsliced.
+    c = generate(GeneratorSpec(Family.QFT, 10))
+    net = build_network(c, "0" * 10)
+    sliced = choose_slices(net, find_path(net, PathfinderConfig(num_samples=4, seed=13)), 2)
+    assert tensornet.step_footprint(net, sliced) == 3072
+    monkeypatch.setenv("QCSIM_MAX_QUBITS", "12")
+    assert contract(net, sliced).indices == ()
+
+    _forbid_contraction(monkeypatch, "contracted an over-budget call")
+    with pytest.raises(CapacityError) as info:
+        contract(net, sliced, [{}])
+    assert info.value.required_bytes == 5120 * 16
+
+
+def test_contract_refuses_assignments_that_fix_different_labels():
+    net = build_network(generate(GeneratorSpec(Family.QFT, 6)), "0" * 6)
+    plan = choose_slices(net, find_path(net, PathfinderConfig(num_samples=1)), 2)
+    (label,) = plan.sliced_labels
+    with pytest.raises(ConfigError):
+        contract(net, plan, [])
+    with pytest.raises(ConfigError):
+        contract(net, plan, [{label: 0}, {}])
+    with pytest.raises(StructuralError):
+        contract(net, plan, [{"nope": 0}])
 
 
 def test_distribution_within_budget(monkeypatch):
@@ -643,18 +668,18 @@ def test_contract_frees_each_intermediate_before_the_next_step(monkeypatch, targ
     dependent = sum(_dependent_steps(net, plan))
     invariant = len(plan.steps) - dependent
     made, consumed, held = [], [], []
-    real = tensornet.contract_pair
+    real = tensornet._step
 
-    def watched(a, b):
+    def watched(a, b, *args):
         assert all(ref() is None for ref in consumed), "a consumed intermediate is alive"
         for x, ref in enumerate(made):
             if ref() is a or ref() is b:
                 (held if x < invariant <= len(made) else consumed).append(ref)
-        out = real(a, b)
+        out = real(a, b, *args)
         made.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(tensornet, "contract_pair", watched)
+    monkeypatch.setattr(tensornet, "_step", watched)
     contract(net, plan)
     assert len(made) == invariant + target * dependent
     if target == 1:
@@ -694,6 +719,54 @@ def test_contract_matches_full_replay_per_slice(family):
                         want = want + parts[x].data
                     assert got.indices == parts[0].indices, (n, bits, target, shard)
                     assert got.data.tobytes() == want.tobytes(), (n, bits, target, shard)
+
+
+@pytest.mark.parametrize("family, n", [(Family.QFT, 14), (Family.RANDOM, 16), (Family.QPE, 16)])
+def test_contract_matches_reference_on_the_sliced_benchmark_networks(family, n):
+    # The sliced benchmark's networks in 8 slices: the compiled executor
+    # gives the reference's bytes in full and for every round-robin shard.
+    net = build_network(generate(GeneratorSpec(family, n)), "0" * n)
+    plan = choose_slices(net, find_path(net, PathfinderConfig(num_samples=4)), 8)
+    assignments = list(tensornet.slice_assignments(plan))
+    shards = [assignments] + [assignments[w::workers] for workers in (2, 3) for w in range(workers)]
+    for shard in shards:
+        got = contract(net, plan, shard)
+        want = reference_contract(net, plan, shard)
+        assert got.indices == want.indices
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("family, n", [(Family.QFT, 14), (Family.RANDOM, 16), (Family.QPE, 16)])
+def test_choose_slices_matches_reference_on_the_sliced_benchmark_networks(family, n):
+    net = build_network(generate(GeneratorSpec(family, n)), "0" * n)
+    plan = find_path(net, PathfinderConfig(num_samples=4))
+    for target in (2, 8, 64):
+        assert choose_slices(net, plan, target) == reference_choose_slices(net, plan, target)
+
+
+def test_evaluate_squares_the_open_output_in_place(monkeypatch):
+    # |amp|^2 goes from the transposed result straight into probs, with
+    # the bytes of squaring a transposed copy.  Beyond the result and
+    # probs, evaluate holds only numpy's ufunc buffer of 8192 complex
+    # elements, which it needs to read the strided view.
+    n = 14
+    net = build_network(generate(GeneratorSpec(Family.QFT, n)))
+    plan = find_path(net, PathfinderConfig(num_samples=1))
+    result = contract(net, plan)
+    axes = [result.indices.index(label) for label in reversed(net.open_indices)]
+    assert axes != sorted(axes)
+    want = np.abs(np.transpose(result.data, axes).ravel()) ** 2
+
+    monkeypatch.setattr(tensornet, "contract",
+                        lambda *args: Tensor(result.indices, result.data.copy()))
+    tracemalloc.start()
+    try:
+        probs = evaluate(net, plan).probs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.tobytes() == want.tobytes()
+    assert peak <= result.data.nbytes + probs.nbytes + 8192 * 16 + 4096, peak
 
 
 def test_contract_slices_every_label_an_assignment_fixes():

@@ -10,14 +10,16 @@ sliced label, a leaf by its labels and an intermediate by its operands;
 ``tensornet._cost`` prices a step.  ``shard ms`` is the best of ``REPS``
 calls of ``evaluate`` over the shard that worker 0 of ``WORKERS`` gets
 (``assignments[0::WORKERS]``), on one BLAS thread as pool workers run.
-The last row sums steps, invariant steps and shard times over the
-circuits, and gives the invariant FLOPs' share of the summed FLOPs.
+``choose ms`` is the best of ``REPS`` calls of ``choose_slices`` on the
+plan ``find_path`` found.  The last row sums steps, invariant steps, shard
+and choose times over the circuits, and gives the invariant FLOPs' share
+of the summed FLOPs.
 
 Usage::
 
     PYTHONPATH=src python tools/slice_share.py
 
-prints one ``circuit  steps  invariant  inv flops  shard ms`` row per
+prints one ``circuit  steps  invariant  inv flops  shard ms  choose ms`` row per
 circuit, then the total.
 """
 from __future__ import annotations
@@ -63,25 +65,30 @@ def invariant_share(net: tn.TensorNetwork, plan: tn.ContractionPlan) -> tuple[in
     return steps, flops, total
 
 
-def _row(name: str, steps: int, invariant: int, share: float, shard_s: float) -> str:
-    return f"{name:<12} {steps:6d} {invariant:10d} {share:10.1%} {shard_s * 1e3:9.2f}"
+def _row(name: str, steps: int, invariant: int, share: float, shard_s: float,
+         choose_s: float) -> str:
+    return (f"{name:<12} {steps:6d} {invariant:10d} {share:10.1%} {shard_s * 1e3:9.2f}"
+            f" {choose_s * 1e3:10.2f}")
 
 
 def main() -> int:
     blas.limit(1)
-    print(f"{'circuit':<12} {'steps':>6} {'invariant':>10} {'inv flops':>10} {'shard ms':>9}")
+    print(f"{'circuit':<12} {'steps':>6} {'invariant':>10} {'inv flops':>10} {'shard ms':>9}"
+          f" {'choose ms':>10}")
     rows = []
     for family, n in CIRCUITS:
         net = tn.build_network(generate(GeneratorSpec(family, n)), "0" * n)
-        plan = tn.choose_slices(net, tn.find_path(net, tn.PathfinderConfig(num_samples=4)), SLICES)
+        found = tn.find_path(net, tn.PathfinderConfig(num_samples=4))
+        plan = tn.choose_slices(net, found, SLICES)
         shard = list(tn.slice_assignments(plan))[0::WORKERS]
         invariant, inv_flops, flops = invariant_share(net, plan)
         shard_s = best_of(lambda: tn.evaluate(net, plan, shard))
-        print(_row(f"{family.value}-{n}", len(plan.steps), invariant, inv_flops / flops, shard_s),
-              flush=True)
-        rows.append((len(plan.steps), invariant, inv_flops, flops, shard_s))
-    steps, invariant, inv_flops, flops, shard_s = map(sum, zip(*rows))
-    print(_row("total", steps, invariant, inv_flops / flops, shard_s))
+        choose_s = best_of(lambda: tn.choose_slices(net, found, SLICES))
+        print(_row(f"{family.value}-{n}", len(plan.steps), invariant, inv_flops / flops, shard_s,
+                   choose_s), flush=True)
+        rows.append((len(plan.steps), invariant, inv_flops, flops, shard_s, choose_s))
+    steps, invariant, inv_flops, flops, shard_s, choose_s = map(sum, zip(*rows))
+    print(_row("total", steps, invariant, inv_flops / flops, shard_s, choose_s))
     return 0
 
 
